@@ -7,7 +7,7 @@ exact residual identities and counts the trainable parameters.
 
 import numpy as np
 
-from spotlighter import FrozenTheta, FusionParams, build_representatives, trainable_param_count
+from spotlighter import FrozenTheta, FusionParams, reps_fwd, trainable_param_count
 from spotlighter.numerics import normalize_rows
 from spotlighter.rng import Stream
 
@@ -20,13 +20,15 @@ tier2 = stream.normals(8, d)
 
 params = FusionParams.init(d, heads, stream, alpha=0.2)
 theta = FrozenTheta.init(d, heads, stream.child(1))
-V, R = build_representatives([(0, tier1), (1, tier2)], protos, text, params, theta, 0.01)
+V_list, R_list, _ = reps_fwd([(0, tier1), (1, tier2)], protos, text, params, theta, 0.01)
+V, R = np.vstack(V_list), np.vstack(R_list)
 print(f"visual representatives: {V.shape} (K per tier, concatenated)")
 print(f"text representatives:   {R.shape} (C per tier, concatenated)")
 
 zero = FusionParams.zeros(d, heads, alpha=0.0)
-V0, R0 = build_representatives([(0, tier1), (1, tier2)], protos, text, zero,
+V0_list, R0_list, _ = reps_fwd([(0, tier1), (1, tier2)], protos, text, zero,
                                FrozenTheta.zeros(d, heads), 0.01)
+V0, R0 = np.vstack(V0_list), np.vstack(R0_list)
 print("\nzero weights, alpha=0: visual == [U; U]?",
       np.array_equal(V0, np.vstack([protos, protos])))
 print("zero weights, alpha=0: text == [T; T]?  ",

@@ -7,14 +7,7 @@ into compact representative sets, and classifies with only those — trading
 token count for throughput without giving up accuracy.
 """
 
-from .activation import (
-    ActivationProfile,
-    build_profile,
-    sample_scores,
-    select_activated,
-    semantic_scores,
-    stratify,
-)
+from .activation import sample_scores, select_activated, semantic_scores, stratify
 from .config import RunConfig
 from .errors import SpotlighterError
 from .features import FeatureSet, SynthSpec, generate_base_novel, generate_episode, read_features, write_features
@@ -26,17 +19,8 @@ from .numerics import (
     kl_divergence,
     l2_normalize,
     softmax,
-    transformer_block,
 )
-from .objectives import (
-    LossBreakdown,
-    LossWeights,
-    contrastive_cls_loss,
-    graded_loss,
-    text_reg_loss,
-    total_loss,
-    visual_kl_loss,
-)
+from .objectives import LossBreakdown, LossWeights, total_loss
 from .pipeline import (
     Metrics,
     ThroughputReport,
@@ -52,14 +36,6 @@ from .pipeline import (
     save_state,
     train,
 )
-from .representative import (
-    FrozenTheta,
-    FusionParams,
-    build_representatives,
-    extract_visual_rep,
-    irm_fuse,
-    trainable_param_count,
-    trm_fuse,
-)
+from .representative import FrozenTheta, FusionParams, reps_fwd, trainable_param_count
 
 __version__ = "0.1.0"

@@ -9,8 +9,6 @@ lower token index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptySelection, KOutOfRange, ZeroVector
@@ -20,21 +18,6 @@ VARIANT_TOP = "top-k"
 VARIANT_BOTTOM = "bottom-k"
 VARIANT_REMOVE_TOP = "remove-top-k"
 VARIANTS = (VARIANT_TOP, VARIANT_BOTTOM, VARIANT_REMOVE_TOP)
-
-
-@dataclass
-class ActivationProfile:
-    """Scores and selection outcome for one item's token grid."""
-
-    sample_scores: np.ndarray
-    semantic_scores: np.ndarray | None
-    combined: np.ndarray
-    selected: np.ndarray      # ordered per the selection variant
-    tier1: np.ndarray
-    tier2: np.ndarray
-    semantic_on: bool
-    recalc_on: bool
-    selection_variant: str
 
 
 def sample_scores(visual_tokens: np.ndarray, text_embedding: np.ndarray) -> np.ndarray:
@@ -102,26 +85,3 @@ def stratify(selected: np.ndarray, combined: np.ndarray, tokens: np.ndarray,
     order = np.lexsort((selected, -ranking))
     n1 = (selected.size + 1) // 2
     return selected[order[:n1]], selected[order[n1:]]
-
-
-def build_profile(tokens: np.ndarray, text_embedding: np.ndarray,
-                  class_protos: np.ndarray, k: int, *, semantic_on: bool,
-                  recalc_on: bool, variant: str = VARIANT_TOP,
-                  stratify_protos: np.ndarray | None = None) -> ActivationProfile:
-    """Score, select, and stratify one item.
-
-    stratify_protos lets the caller rank tiers against prototypes that moved
-    after selection (the post-update bank during training); it defaults to
-    the scoring prototypes.
-    """
-    samp = sample_scores(tokens, text_embedding)
-    sem = semantic_scores(tokens, class_protos) if semantic_on else None
-    combined = combine_scores(samp, sem, semantic_on)
-    selected = select_activated(combined, k, variant)
-    protos = class_protos if stratify_protos is None else stratify_protos
-    tier1, tier2 = stratify(selected, combined, tokens, protos, recalc_on)
-    return ActivationProfile(
-        sample_scores=samp, semantic_scores=sem, combined=combined,
-        selected=selected, tier1=tier1, tier2=tier2,
-        semantic_on=semantic_on, recalc_on=recalc_on, selection_variant=variant,
-    )

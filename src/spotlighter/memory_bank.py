@@ -52,11 +52,6 @@ class MemoryBank:
     def d(self) -> int:
         return self.prototypes.shape[2]
 
-    def class_prototypes(self, category: int) -> np.ndarray:
-        if not 0 <= category < self.n_classes:
-            raise LabelOutOfRange(f"category {category} of {self.n_classes}")
-        return self.prototypes[category]
-
     def copy(self) -> "MemoryBank":
         return MemoryBank(self.prototypes.copy(), self.beta, self.init_mode)
 

@@ -2,12 +2,13 @@
 transformer blocks with exact analytic backward passes, divergences, and
 finite-difference gradient verification.
 
-Everything is float64 and pure-numpy. Blocks come in three flavors:
+Everything is float64 and pure-numpy. The block has one forward pass:
 
-* ``transformer_block``       single sequence pair, forward only
-* ``transformer_block_fwd``   same, returning a cache for the backward pass
+* ``transformer_block_fwd``   forward over any leading axes, returning a cache
+                              for the backward pass
 * ``transformer_block_bwd``   exact gradients w.r.t. inputs and every tensor
-* ``transformer_block_batch`` forward over a leading batch axis (inference)
+* ``transformer_block_batch`` the same forward with the cache dropped
+                              (inference)
 
 The backward pass is hand-derived (layer norm included in full, not the
 diagonal approximation); ``grad_check`` is the verification harness used by
@@ -252,7 +253,7 @@ def block_param_count(d: int, ffn_mult: int = 2) -> int:
 
 
 # --------------------------------------------------------------------------
-# transformer block: forward, cached forward, backward, batched forward
+# transformer block: cached forward, backward, forward-only wrapper
 # --------------------------------------------------------------------------
 
 def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -271,8 +272,9 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def transformer_block_fwd(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams):
     """Pre-LN block: attention(LN(Q), LN(KV)) + Q, then FFN(LN(.)) + residual.
 
-    Returns (output (q, d), cache) where the cache carries every intermediate
-    needed for the exact backward pass.
+    Q is (..., q, d) and KV (..., n, d) with matching leading axes. Returns
+    (output (..., q, d), cache) where the cache carries every intermediate
+    needed for the exact backward pass (which takes unbatched inputs).
     """
     Q = np.asarray(Q, dtype=np.float64)
     KV = np.asarray(KV, dtype=np.float64)
@@ -285,13 +287,13 @@ def transformer_block_fwd(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockPara
     Qn, ln_q = layer_norm_fwd(Q, p.ln1_g, p.ln1_b)
     KVn, ln_kv = layer_norm_fwd(KV, p.ln1_g, p.ln1_b)
 
-    qh = _split_heads(Qn @ p.wq + p.bq, p.n_heads)      # (H, q, dh)
-    kh = _split_heads(KVn @ p.wk + p.bk, p.n_heads)     # (H, n, dh)
+    qh = _split_heads(Qn @ p.wq + p.bq, p.n_heads)      # (..., H, q, dh)
+    kh = _split_heads(KVn @ p.wk + p.bk, p.n_heads)     # (..., H, n, dh)
     vh = _split_heads(KVn @ p.wv + p.bv, p.n_heads)
-    S = (qh @ kh.swapaxes(-1, -2)) * scale              # (H, q, n)
+    S = (qh @ kh.swapaxes(-1, -2)) * scale              # (..., H, q, n)
     A = softmax_rows(S)
-    oh = A @ vh                                         # (H, q, dh)
-    O = _merge_heads(oh)                                # (q, d)
+    oh = A @ vh                                         # (..., H, q, dh)
+    O = _merge_heads(oh)                                # (..., q, d)
     attn = O @ p.wo + p.bo
     T = attn + Q
 
@@ -358,31 +360,9 @@ def transformer_block_bwd(cache, dY: np.ndarray):
     return dQ, dKV, grads
 
 
-def transformer_block(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams) -> np.ndarray:
-    """Forward-only block; see transformer_block_fwd."""
-    out, _ = transformer_block_fwd(Q, KV, p)
-    return out
-
-
 def transformer_block_batch(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams) -> np.ndarray:
-    """Forward over a leading batch axis: Q (B, q, d), KV (B, n, d)."""
-    Q = np.asarray(Q, dtype=np.float64)
-    KV = np.asarray(KV, dtype=np.float64)
-    d = p.d_model
-    if Q.shape[-1] != d or KV.shape[-1] != d:
-        raise DimMismatch(f"inputs must have width {d}")
-    scale = 1.0 / np.sqrt(d // p.n_heads)
-
-    Qn, _ = layer_norm_fwd(Q, p.ln1_g, p.ln1_b)
-    KVn, _ = layer_norm_fwd(KV, p.ln1_g, p.ln1_b)
-    qh = _split_heads(Qn @ p.wq + p.bq, p.n_heads)       # (B, H, q, dh)
-    kh = _split_heads(KVn @ p.wk + p.bk, p.n_heads)
-    vh = _split_heads(KVn @ p.wv + p.bv, p.n_heads)
-    A = softmax_rows((qh @ kh.swapaxes(-1, -2)) * scale)
-    attn = _merge_heads(A @ vh) @ p.wo + p.bo
-    T = attn + Q
-    Tn, _ = layer_norm_fwd(T, p.ln2_g, p.ln2_b)
-    return gelu(Tn @ p.w1 + p.b1) @ p.w2 + p.b2 + T
+    """`transformer_block_fwd` over Q (B, q, d), KV (B, n, d), cache dropped."""
+    return transformer_block_fwd(Q, KV, p)[0]
 
 
 # --------------------------------------------------------------------------

@@ -128,48 +128,8 @@ def _kl_pooled_bwd(cache, scale: float = 1.0):
 
 
 # --------------------------------------------------------------------------
-# public loss operations
+# weighted total
 # --------------------------------------------------------------------------
-
-def contrastive_cls_loss(v_tokens: np.ndarray, class_text_reps: np.ndarray,
-                         label: int, tau: float) -> float:
-    """Cross-entropy over classes of cos(pooled visual, pooled text)/tau."""
-    if tau <= 0:
-        raise NonPositiveTemperature(f"tau {tau!r}")
-    reps = np.asarray(class_text_reps, dtype=np.float64)
-    if reps.ndim == 2:
-        reps = reps[:, None, :]
-    loss, _ = _contrastive_fwd(np.atleast_2d(v_tokens), reps, label, tau)
-    return loss
-
-
-def graded_loss(tier1_visual, tier1_text, tier2_visual, tier2_text,
-                label: int, tau: float):
-    """(cls_high, cls_low): contrastive loss per tier; empty tier2 gives 0."""
-    cls_high = contrastive_cls_loss(tier1_visual, tier1_text, label, tau)
-    if tier2_visual is None or len(tier2_visual) == 0:
-        return cls_high, 0.0
-    return cls_high, contrastive_cls_loss(tier2_visual, tier2_text, label, tau)
-
-
-def text_reg_loss(tok_t_ori: np.ndarray, tok_t_rep: np.ndarray) -> float:
-    """Mean absolute elementwise difference."""
-    ori = np.asarray(tok_t_ori, dtype=np.float64)
-    rep = np.asarray(tok_t_rep, dtype=np.float64)
-    if ori.shape != rep.shape:
-        raise DimMismatch(f"shapes differ: {ori.shape} vs {rep.shape}")
-    return float(np.abs(ori - rep).mean())
-
-
-def visual_kl_loss(tok_v_rep: np.ndarray, tok_v_ori: np.ndarray) -> float:
-    """KL between temperature-1 softmaxes of the pooled sides (rep || ori)."""
-    rep = np.atleast_2d(np.asarray(tok_v_rep, dtype=np.float64))
-    ori = np.atleast_2d(np.asarray(tok_v_ori, dtype=np.float64))
-    if rep.shape[1] != ori.shape[1]:
-        raise DimMismatch("pooled widths differ")
-    loss, _ = _kl_pooled_fwd(rep, ori)
-    return loss
-
 
 def total_loss(cls: float, cls_low: float, cls_high: float, reg_text: float,
                kl_visual: float, local: float, weights: LossWeights) -> LossBreakdown:
@@ -227,6 +187,8 @@ def losses_fwd_bwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
     n_tiers = len(V_list)
     if n_tiers == 0 or n_tiers != len(R_list):
         raise DimMismatch("need one visual and one text set per tier")
+    if any(R.shape != text_ori.shape for R in R_list):
+        raise DimMismatch(f"text representatives must match text_ori {text_ori.shape}")
     tau = weights.tau
 
     V_all = np.vstack(V_list)

@@ -3,15 +3,19 @@ trainable split, label-free pruned prediction, base/novel evaluation with
 harmonic mean, checkpointing, gradient-check harness, parameter accounting,
 and the throughput benchmark.
 
-Training iterates items one at a time: score -> select -> momentum-update
-the bank -> stratify -> fuse representatives -> total loss -> SGD step on
-the fusion parameters only. The frozen transformer block, the feature
-arrays, and the text embeddings are never written to.
+Training iterates items one at a time through `_front_end` (score -> select
+-> momentum-update the bank -> local loss -> stratify), then fuses
+representatives, takes the total loss and an SGD step on the fusion
+parameters only; the gradient check runs the same front end. The frozen
+transformer block, the feature arrays, and the text embeddings are never
+written to.
 
-At inference the category is identified by `match_class` against a
+Inference has one path, `predict_batch`, which walks the items in chunks of
+`_CHUNK`; `predict` is a batch of one. The category is identified against a
 zero-jitter matching bank built from the split's text embeddings under the
-configured init mode; the trained bank (base split) or the same on-the-fly
-bank (novel split) then supplies prototypes for semantic scoring and fusion.
+configured init mode (as `match_class` does); the trained bank (base split)
+or the same on-the-fly bank (novel split) then supplies prototypes for
+semantic scoring and fusion.
 """
 
 from __future__ import annotations
@@ -40,15 +44,17 @@ from .errors import (
     EmptySplit,
     HeaderMismatch,
     InvalidSpec,
+    KOutOfRange,
     NonFiniteLoss,
     TruncatedFile,
     VersionMismatch,
     WorkloadTooSmall,
 )
 from .features import FeatureSet, generate_base_novel
-from .memory_bank import MemoryBank, assign_tokens, init_bank, local_loss, match_class, momentum_update
+from .memory_bank import MemoryBank, assign_tokens, init_bank, local_loss, momentum_update
 from .numerics import (
     TransformerBlockParams,
+    cosine_matrix,
     finite_difference_errors,
     normalize_rows,
     softmax_rows,
@@ -61,6 +67,10 @@ from .rng import Stream
 
 CKPT_MAGIC = b"SPOTCKPT"
 CKPT_VERSION = 1
+
+# items per block-forward pass in predict_batch: the forward keeps every
+# intermediate in its cache, so the pass size sets the peak memory
+_CHUNK = 256
 
 _TAG_BANK = 100
 _TAG_THETA = 101
@@ -150,10 +160,13 @@ def make_eval_class_set(state: TrainedState, text_embeddings: np.ndarray,
 # training
 # --------------------------------------------------------------------------
 
-def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
-                params: FusionParams, theta: FrozenTheta, cfg: RunConfig,
-                weights: LossWeights, velocity: dict | None):
-    """One optimizer step; returns (updated bank, LossBreakdown)."""
+def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
+               cfg: RunConfig):
+    """Score -> select -> momentum-update the bank -> local loss -> stratify.
+
+    The non-trainable stage of one labeled item; returns (updated bank,
+    tiers as (tier index, tokens) pairs, local loss).
+    """
     samp = sample_scores(X, text[label])
     sem = semantic_scores(X, bank.prototypes[label]) if cfg.semantic_on else None
     combined = combine_scores(samp, sem, cfg.semantic_on)
@@ -172,7 +185,14 @@ def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     tiers = [(0, X[tier1])]
     if tier2.size:
         tiers.append((1, X[tier2]))
+    return bank, tiers, local
 
+
+def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
+                params: FusionParams, theta: FrozenTheta, cfg: RunConfig,
+                weights: LossWeights, velocity: dict | None):
+    """One optimizer step; returns (updated bank, LossBreakdown)."""
+    bank, tiers, local = _front_end(X, label, bank, text, cfg)
     V_list, R_list, cache = reps_fwd(tiers, bank.prototypes[label], text,
                                      params, theta, cfg.tau)
     breakdown, dV, dR = losses_fwd_bwd(V_list, R_list, text, X, local,
@@ -243,75 +263,47 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
 # prediction
 # --------------------------------------------------------------------------
 
-def _select_tiers(tier1, tier2, tier_mode: str):
-    if tier_mode == "lev1":
-        return [(0, tier1)]
-    if tier_mode == "lev2":
-        if tier2.size == 0:
-            raise EmptySelection("tier 2 is empty under lev2 inference")
-        return [(1, tier2)]
-    tiers = [(0, tier1)]
-    if tier2.size:
-        tiers.append((1, tier2))
-    return tiers
-
-
 def predict(tokens: np.ndarray, state: TrainedState, class_set: EvalClassSet,
             k: int | None = None, tier_mode: str | None = None):
-    """Label-free pruned classification of one item.
+    """Label-free pruned classification of one (n_tok, d) item.
 
     Returns (category id, probability vector over the split's classes);
     ties resolve to the lowest class index.
     """
-    cfg = state.config
-    k = cfg.k_act if k is None else k
-    tier_mode = cfg.tier_mode if tier_mode is None else tier_mode
     X = np.asarray(tokens, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != cfg.d:
-        raise DimMismatch(f"tokens have width {X.shape[-1]}, model expects {cfg.d}")
-
-    pooled = X.mean(axis=0)
-    pooled /= np.linalg.norm(pooled)
-    c_hat = match_class(pooled, class_set.matching_bank)
-
-    protos = class_set.fusion_bank.prototypes[c_hat]
-    samp = sample_scores(X, class_set.text[c_hat])
-    sem = semantic_scores(X, protos) if cfg.semantic_on else None
-    combined = combine_scores(samp, sem, cfg.semantic_on)
-    selected = select_activated(combined, k, cfg.selection_variant)
-    if selected.size == 0:
-        raise EmptySelection("selection variant kept no tokens")
-    tier1, tier2 = stratify(selected, combined, X, protos, cfg.recalc_on)
-    tiers = _select_tiers(tier1, tier2, tier_mode)
-
-    V_list, R_list, _ = reps_fwd([(i, X[t]) for i, t in tiers], protos,
-                                 class_set.text, state.params, state.theta,
-                                 cfg.tau)
-    v, _ = _pool_unit(np.vstack(V_list))
-    class_rows = np.stack(R_list, axis=1)
-    Tp = normalize_rows(class_rows.mean(axis=1))
-    probs = softmax_rows((Tp @ v)[None, :], cfg.tau)[0]
-    return int(np.argmax(probs)), probs
-
-
-def _pool_unit(rows: np.ndarray):
-    m = rows.mean(axis=0)
-    n = float(np.linalg.norm(m))
-    return m / n, n
+    if X.ndim != 2:
+        raise DimMismatch(f"one item must be (n_tok, d), got shape {X.shape}")
+    preds, probs = predict_batch(X[None], state, class_set, k, tier_mode)
+    return int(preds[0]), probs[0]
 
 
 def predict_batch(tokens: np.ndarray, state: TrainedState,
                   class_set: EvalClassSet, k: int | None = None,
                   tier_mode: str | None = None):
-    """Vectorized `predict` over (N, n_tok, d) items: (preds, probs)."""
+    """Label-free pruned classification of (N, n_tok, d) items: (preds, probs).
+
+    Items are classified independently, _CHUNK at a time, which bounds the
+    memory the block forward's caches hold.
+    """
     cfg = state.config
     k = cfg.k_act if k is None else k
     tier_mode = cfg.tier_mode if tier_mode is None else tier_mode
     X = np.asarray(tokens, dtype=np.float64)
-    N, n_tok, d = X.shape
-    if d != cfg.d:
-        raise DimMismatch(f"tokens have width {d}, model expects {cfg.d}")
+    if X.ndim != 3 or X.shape[2] != cfg.d:
+        raise DimMismatch(f"tokens must be (N, n_tok, {cfg.d}), got shape {X.shape}")
+    if not 1 <= k <= X.shape[1]:
+        raise KOutOfRange(f"k={k} outside [1, {X.shape[1]}]")
+    # an empty batch still runs one (empty) chunk: outputs (0,) and (0, C)
+    parts = [_predict_chunk(X[i : i + _CHUNK], state, class_set, k, tier_mode)
+             for i in range(0, max(len(X), 1), _CHUNK)]
+    return (np.concatenate([preds for preds, _ in parts]),
+            np.concatenate([probs for _, probs in parts]))
 
+
+def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
+                   k: int, tier_mode: str):
+    cfg = state.config
+    d = cfg.d
     pooled = normalize_rows(X.mean(axis=1))
     match_protos = normalize_rows(
         class_set.matching_bank.prototypes.reshape(-1, d)
@@ -582,19 +574,7 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
 
         bank = init_bank(text, cfg.n_proto, cfg.init_mode, cfg.bank_sigma,
                          seed=case.child(1).seed, beta=cfg.beta)
-        samp = sample_scores(X, text[label])
-        sem = semantic_scores(X, bank.prototypes[label]) if cfg.semantic_on else None
-        combined = combine_scores(samp, sem, cfg.semantic_on)
-        selected = select_activated(combined, cfg.k_act, cfg.selection_variant)
-        tok_act = X[selected]
-        assignment = assign_tokens(tok_act, bank.prototypes[label], cfg.tau)
-        bank = momentum_update(bank, label, assignment, tok_act, cfg.proto_renorm)
-        local = local_loss(bank, tok_act, label, cfg.tau)
-        tier1, tier2 = stratify(selected, combined, X, bank.prototypes[label],
-                                cfg.recalc_on)
-        tiers = [(0, X[tier1])]
-        if tier2.size:
-            tiers.append((1, X[tier2]))
+        bank, tiers, local = _front_end(X, label, bank, text, cfg)
         theta = FrozenTheta.init(cfg.d, cfg.heads, case.child(2),
                                  ffn_mult=cfg.ffn_mult, scale=cfg.init_scale)
         protos = bank.prototypes[label]
@@ -655,7 +635,7 @@ def _fast_objective(params: FusionParams, tiers, protos, text,
     K = protos.shape[0]
     tier_setup = []
     for tier_idx, tokens in tiers:
-        W = softmax_rows(_cosine(text, tokens), cfg.tau)
+        W = softmax_rows(cosine_matrix(text, tokens), cfg.tau)
         Z = np.hstack([text, W @ tokens])
         tier_setup.append((tier_idx, tokens, Z))
     tiled_text = np.vstack([text] * len(tiers))
@@ -676,10 +656,6 @@ def _fast_objective(params: FusionParams, tiers, protos, text,
                             tiled_text, ori_probs)
 
     return objective
-
-
-def _cosine(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return normalize_rows(A) @ normalize_rows(B).T
 
 
 def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,

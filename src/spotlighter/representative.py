@@ -13,6 +13,8 @@ the pair back to width d with a residual scaled by alpha.
 
 `reps_fwd`/`reps_bwd` run the trainable chain with caches and exact
 gradients; the frozen block propagates gradients but never receives them.
+`pipeline.predict_batch` repeats this chain, forward only, over a leading
+item axis.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .numerics import (
     cosine_matrix,
     softmax_rows,
     block_param_count,
-    transformer_block,
     transformer_block_bwd,
     transformer_block_fwd,
 )
@@ -142,59 +143,7 @@ def trainable_param_count(d: int, ffn_mult: int = 2, shared_irm: bool = False) -
 
 
 # --------------------------------------------------------------------------
-# forward-only public operations
-# --------------------------------------------------------------------------
-
-def irm_fuse(class_protos: np.ndarray, tier_tokens: np.ndarray,
-             irm_params: TransformerBlockParams) -> np.ndarray:
-    """Cross-attend prototypes (queries) over tier tokens (keys/values)."""
-    return transformer_block(class_protos, tier_tokens, irm_params)
-
-
-def extract_visual_rep(fused_protos: np.ndarray, tier_tokens: np.ndarray,
-                       theta: FrozenTheta):
-    """Self-attend [fused prototypes; tier tokens]; split the output back."""
-    K = fused_protos.shape[0]
-    seq = np.vstack([fused_protos, tier_tokens])
-    out = transformer_block(seq, seq, theta.block)
-    return out[:K], out[K:]
-
-
-def trm_fuse(text_tokens: np.ndarray, tier_tokens: np.ndarray,
-             trm_w: np.ndarray, trm_b: np.ndarray, alpha: float,
-             temperature: float) -> np.ndarray:
-    """Residual linear fusion of text tokens with matched tier aggregates."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0, 1]")
-    text = np.asarray(text_tokens, dtype=np.float64)
-    tier = np.asarray(tier_tokens, dtype=np.float64)
-    W = softmax_rows(cosine_matrix(text, tier), temperature)
-    agg = W @ tier
-    Z = np.hstack([text, agg])
-    return alpha * (Z @ trm_w + trm_b) + text
-
-
-def trm_match_weights(text_tokens: np.ndarray, tier_tokens: np.ndarray,
-                      temperature: float) -> np.ndarray:
-    """The matching matrix W used by trm_fuse (rows sum to 1)."""
-    return softmax_rows(cosine_matrix(text_tokens, tier_tokens), temperature)
-
-
-def build_representatives(tiers, class_protos: np.ndarray,
-                          text_tokens: np.ndarray, params: FusionParams,
-                          theta: FrozenTheta, temperature: float):
-    """Fuse each tier independently and concatenate along the token axis.
-
-    tiers is a list of (tier_index, tokens) pairs; empty tiers contribute
-    nothing. Returns (visual representatives, text representatives).
-    """
-    V_list, R_list, _ = reps_fwd(tiers, class_protos, text_tokens, params,
-                                 theta, temperature)
-    return np.vstack(V_list), np.vstack(R_list)
-
-
-# --------------------------------------------------------------------------
-# cached forward / exact backward for training
+# cached forward / exact backward
 # --------------------------------------------------------------------------
 
 def reps_fwd(tiers, class_protos: np.ndarray, text_tokens: np.ndarray,

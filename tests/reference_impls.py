@@ -55,7 +55,7 @@ def _ref_gelu(x):
 
 
 def ref_transformer_block(Q, KV, p):
-    """Loop-based pre-LN block equivalent to numerics.transformer_block."""
+    """Loop-based pre-LN block equivalent to numerics.transformer_block_fwd."""
     Q = np.asarray(Q, dtype=float)
     KV = np.asarray(KV, dtype=float)
     d = p.d_model

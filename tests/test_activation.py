@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from spotlighter.activation import (
     VARIANTS,
-    build_profile,
     combine_scores,
     sample_scores,
     select_activated,
@@ -168,18 +167,3 @@ def test_stratify_empty_selection_rejected(rng):
     with pytest.raises(EmptySelection):
         stratify(np.array([], dtype=int), rng.normal(size=4),
                  rng.normal(size=(4, 4)), rng.normal(size=(2, 4)), False)
-
-
-def test_build_profile_contract(rng):
-    tokens = rng.normal(size=(12, 8))
-    text = rng.normal(size=8)
-    protos = rng.normal(size=(3, 8))
-    prof = build_profile(tokens, text, protos, 5, semantic_on=True,
-                         recalc_on=False, variant="top-k")
-    assert np.array_equal(prof.combined, prof.sample_scores + prof.semantic_scores)
-    assert len(prof.selected) == 5
-    assert sorted(list(prof.tier1) + list(prof.tier2)) == sorted(prof.selected.tolist())
-    off = build_profile(tokens, text, protos, 5, semantic_on=False,
-                        recalc_on=False, variant="top-k")
-    assert np.array_equal(off.combined, off.sample_scores)
-    assert off.semantic_scores is None

@@ -8,37 +8,42 @@ from spotlighter.numerics import finite_difference_errors, normalize_rows, softm
 from spotlighter.objectives import (
     LossBreakdown,
     LossWeights,
-    contrastive_cls_loss,
-    graded_loss,
     losses_fwd_bwd,
-    text_reg_loss,
     total_loss,
-    visual_kl_loss,
 )
 
 from .reference_impls import ref_contrastive, ref_kl_extended, ref_pool_normalize
 
 
-# --- contrastive ----------------------------------------------------------------
+def parts(V_list, R_list, text, X, label=0, tau=0.1):
+    """The LossBreakdown losses_fwd_bwd reports (local loss 0)."""
+    b, _, _ = losses_fwd_bwd(V_list, R_list, text, X, 0.0, label, LossWeights(tau=tau))
+    return b
+
+
+# --- contrastive (cls) ----------------------------------------------------------
 
 def test_contrastive_perfect_alignment_near_zero():
     d = 8
     T = np.eye(d)[:5]
     v_tokens = np.tile(T[2], (3, 1))
-    assert contrastive_cls_loss(v_tokens, T, 2, 0.01) < 1e-6
+    assert parts([v_tokens], [T], T, v_tokens, 2, 0.01).cls < 1e-6
 
 
 def test_contrastive_uniform_logits_ln_c(rng):
     t = normalize_rows(rng.normal(size=(1, 8)))[0]
     T = np.tile(t, (7, 1))
     v = rng.normal(size=(2, 8))
-    assert abs(contrastive_cls_loss(v, T, 3, 0.5) - math.log(7)) < 1e-9
+    assert abs(parts([v], [T], T, v, 3, 0.5).cls - math.log(7)) < 1e-9
 
 
 def test_contrastive_matches_exp_sum_oracle(rng):
+    # two tiers: the pooled visual side is all 4 rows, each class pools its
+    # 2 text rows (one per tier)
     v_tokens = rng.normal(size=(4, 8))
     reps = rng.normal(size=(5, 2, 8))
-    got = contrastive_cls_loss(v_tokens, reps, 1, 0.3)
+    got = parts([v_tokens[:2], v_tokens[2:]], [reps[:, 0], reps[:, 1]],
+                reps[:, 0], v_tokens, 1, 0.3).cls
     want = ref_contrastive(v_tokens, list(reps), 1, 0.3)
     assert abs(got - want) < 1e-8
 
@@ -46,83 +51,93 @@ def test_contrastive_matches_exp_sum_oracle(rng):
 def test_contrastive_scale_invariance(rng):
     v_tokens = rng.normal(size=(4, 8))
     reps = rng.normal(size=(5, 8))
-    a = contrastive_cls_loss(v_tokens, reps, 0, 0.2)
-    b = contrastive_cls_loss(4.2 * v_tokens, reps, 0, 0.2)
+    a = parts([v_tokens], [reps], reps, v_tokens, 0, 0.2).cls
+    b = parts([4.2 * v_tokens], [reps], reps, v_tokens, 0, 0.2).cls
     assert abs(a - b) < 1e-9
 
 
 def test_contrastive_label_validation(rng):
+    reps = rng.normal(size=(3, 4))
+    v = rng.normal(size=(2, 4))
     with pytest.raises(LabelOutOfRange):
-        contrastive_cls_loss(rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), 3, 0.1)
+        parts([v], [reps], reps, v, 3, 0.1)
 
 
-# --- graded ----------------------------------------------------------------
+# --- graded (cls_high, cls_low) -------------------------------------------------------
 
 def test_graded_empty_tier2_zero(rng):
     v1 = rng.normal(size=(3, 8))
     t1 = rng.normal(size=(4, 8))
-    high, low = graded_loss(v1, t1, None, None, 1, 0.1)
-    assert low == 0.0
-    assert abs(high - contrastive_cls_loss(v1, t1, 1, 0.1)) < 1e-12
+    b = parts([v1], [t1], t1, v1, 1, 0.1)
+    assert b.cls_low == 0.0
+    assert abs(b.cls_high - ref_contrastive(v1, [r[None, :] for r in t1], 1, 0.1)) < 1e-8
 
 
 def test_graded_identical_tiers_equal(rng):
     v = rng.normal(size=(3, 8))
     t = rng.normal(size=(4, 8))
-    high, low = graded_loss(v, t, v.copy(), t.copy(), 2, 0.1)
-    assert abs(high - low) < 1e-12
+    b = parts([v, v.copy()], [t, t.copy()], t, v, 2, 0.1)
+    assert abs(b.cls_high - b.cls_low) < 1e-12
 
 
 def test_graded_matches_per_tier_oracle(rng):
-    v1, v2 = rng.normal(size=(3, 8)), rng.normal(size=(2, 8))
+    v1, v2 = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
     t1, t2 = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
-    high, low = graded_loss(v1, t1, v2, t2, 0, 0.2)
-    assert abs(high - ref_contrastive(v1, [r[None, :] for r in t1], 0, 0.2)) < 1e-8
-    assert abs(low - ref_contrastive(v2, [r[None, :] for r in t2], 0, 0.2)) < 1e-8
+    b = parts([v1, v2], [t1, t2], t1, v1, 0, 0.2)
+    assert abs(b.cls_high - ref_contrastive(v1, [r[None, :] for r in t1], 0, 0.2)) < 1e-8
+    assert abs(b.cls_low - ref_contrastive(v2, [r[None, :] for r in t2], 0, 0.2)) < 1e-8
 
 
-# --- text regularizer ----------------------------------------------------------------
+# --- text regularizer (reg_text) ------------------------------------------------------
 
 def test_text_reg_identity_zero(rng):
     T = rng.normal(size=(4, 8))
-    assert text_reg_loss(T, T.copy()) == 0.0
+    V = rng.normal(size=(2, 8))
+    assert parts([V], [T.copy()], T, V).reg_text == 0.0
 
 
-def test_text_reg_constant_offset():
+def test_text_reg_constant_offset(rng):
     T = np.zeros((3, 5))
-    assert abs(text_reg_loss(T, T + 0.5) - 0.5) < 1e-12
+    V = rng.normal(size=(2, 5))
+    assert abs(parts([V], [T + 0.5], T, V).reg_text - 0.5) < 1e-12
 
 
 def test_text_reg_matches_elementwise_oracle(rng):
     A = rng.normal(size=(6, 7))
     B = rng.normal(size=(6, 7))
+    V = rng.normal(size=(2, 7))
     want = float(sum(abs(A[i, j] - B[i, j]) for i in range(6) for j in range(7)) / 42)
-    assert abs(text_reg_loss(A, B) - want) < 1e-10
+    assert abs(parts([V], [B], A, V).reg_text - want) < 1e-10
 
 
-def test_text_reg_shape_mismatch():
+def test_text_reg_shape_mismatch(rng):
+    V = rng.normal(size=(2, 3))
     with pytest.raises(DimMismatch):
-        text_reg_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+        parts([V], [rng.normal(size=(3, 3))], np.zeros((2, 3)), V)
 
 
-# --- visual KL ----------------------------------------------------------------
+# --- visual KL (kl_visual) ----------------------------------------------------------
 
 def test_visual_kl_identity_zero(rng):
     V = rng.normal(size=(5, 8))
-    assert abs(visual_kl_loss(V, V.copy())) < 1e-12
+    T = rng.normal(size=(3, 8))
+    assert abs(parts([V], [T], T, V.copy()).kl_visual) < 1e-12
 
 
 def test_visual_kl_nonnegative(rng):
+    T = rng.normal(size=(3, 6))
     for _ in range(100):
-        assert visual_kl_loss(rng.normal(size=(4, 6)), rng.normal(size=(7, 6))) >= -1e-9
+        V, X = rng.normal(size=(4, 6)), rng.normal(size=(7, 6))
+        assert parts([V], [T], T, X).kl_visual >= -1e-9
 
 
 def test_visual_kl_matches_composed_oracle(rng):
     rep = rng.normal(size=(4, 9))
     ori = rng.normal(size=(6, 9))
+    T = rng.normal(size=(3, 9))
     p = softmax(ref_pool_normalize(rep), 1.0)
     q = softmax(ref_pool_normalize(ori), 1.0)
-    assert abs(visual_kl_loss(rep, ori) - ref_kl_extended(p, q)) < 1e-9
+    assert abs(parts([rep], [T], T, ori).kl_visual - ref_kl_extended(p, q)) < 1e-9
 
 
 # --- total ----------------------------------------------------------------

@@ -1,15 +1,33 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spotlighter.activation import combine_scores, sample_scores, select_activated, semantic_scores, stratify
+from spotlighter.activation import (
+    VARIANTS,
+    combine_scores,
+    sample_scores,
+    select_activated,
+    semantic_scores,
+    stratify,
+)
 from spotlighter.config import RunConfig
-from spotlighter.errors import BadMagic, EmptySplit, TruncatedFile, VersionMismatch, WorkloadTooSmall
+from spotlighter.errors import (
+    BadMagic,
+    DimMismatch,
+    EmptySplit,
+    KOutOfRange,
+    TruncatedFile,
+    VersionMismatch,
+    WorkloadTooSmall,
+)
 from spotlighter.features import FeatureSet, generate_base_novel
 from spotlighter.memory_bank import match_class
 from spotlighter.numerics import l2_normalize, normalize_rows, softmax
 from spotlighter.pipeline import (
+    _CHUNK,
     bench_throughput,
     evaluate,
     flop_count_inference,
@@ -126,18 +144,47 @@ def test_predict_probability_contract(tiny_state, tiny_episode):
     assert pred == int(np.argmax(probs))
 
 
+def composed_predict(X, state, ctx, tier_mode=None):
+    """One item through a by-hand composition of the stage operations."""
+    cfg = state.config
+    tier_mode = cfg.tier_mode if tier_mode is None else tier_mode
+    c_hat = match_class(l2_normalize(X.mean(axis=0)), ctx.matching_bank)
+    protos = ctx.fusion_bank.prototypes[c_hat]
+    combined = combine_scores(sample_scores(X, ctx.text[c_hat]),
+                              semantic_scores(X, protos), cfg.semantic_on)
+    sel = select_activated(combined, cfg.k_act, cfg.selection_variant)
+    t1, t2 = stratify(sel, combined, X, protos, cfg.recalc_on)
+    if tier_mode == "lev1":
+        tiers = [(0, X[t1])]
+    elif tier_mode == "lev2":
+        tiers = [(1, X[t2])]
+    else:
+        tiers = [(0, X[t1])] + ([(1, X[t2])] if t2.size else [])
+    V, R, _ = reps_fwd(tiers, protos, ctx.text, state.params, state.theta, cfg.tau)
+    v = l2_normalize(np.vstack(V).mean(axis=0))
+    Tp = normalize_rows(np.stack(R, axis=1).mean(axis=1))
+    probs = softmax(Tp @ v, cfg.tau)
+    return int(np.argmax(probs)), probs
+
+
+def assert_batch_matches_composition(tokens, state, ctx, tier_mode=None):
+    preds, probs = predict_batch(tokens, state, ctx, tier_mode=tier_mode)
+    assert preds.shape == (len(tokens),)
+    for i in range(len(tokens)):
+        want, want_probs = composed_predict(tokens[i].astype(float), state, ctx, tier_mode)
+        assert preds[i] == want
+        assert np.abs(probs[i] - want_probs).max() < 1e-9
+
+
 def test_predict_batch_matches_per_item(tiny_state, tiny_episode):
     _, base_test, novel_test = tiny_episode
     for split, trained in ((base_test, True), (novel_test, False)):
         ctx = make_eval_class_set(tiny_state, split.text_embeddings, trained)
-        preds, probs = predict_batch(split.tokens, tiny_state, ctx)
-        for i in range(split.n_items):
-            p, pr = predict(split.tokens[i].astype(float), tiny_state, ctx)
-            assert preds[i] == p
-            assert np.abs(probs[i] - pr).max() < 1e-9
+        for tier_mode in ("both", "lev1", "lev2"):
+            assert_batch_matches_composition(split.tokens, tiny_state, ctx, tier_mode)
 
 
-@pytest.mark.parametrize("variant", ["bottom-k", "remove-top-k"])
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("recalc", [True, False])
 def test_predict_batch_matches_per_item_on_variants(tiny_config, variant, recalc):
     cfg = tiny_config.with_overrides(selection_variant=variant, recalc_on=recalc,
@@ -145,36 +192,52 @@ def test_predict_batch_matches_per_item_on_variants(tiny_config, variant, recalc
     tr, bt, _ = generate_base_novel(cfg.synth_spec(), cfg.shots, cfg.test_per_class)
     state = train(cfg, tr)
     ctx = make_eval_class_set(state, bt.text_embeddings, True)
-    preds, probs = predict_batch(bt.tokens, state, ctx)
-    for i in range(bt.n_items):
-        p, pr = predict(bt.tokens[i].astype(float), state, ctx)
-        assert preds[i] == p
-        assert np.abs(probs[i] - pr).max() < 1e-9
+    assert_batch_matches_composition(bt.tokens, state, ctx)
+
+
+def test_predict_batch_crosses_chunk_boundaries(tiny_state, tiny_config):
+    n = 2 * _CHUNK + 3
+    _, big, _ = generate_base_novel(tiny_config.synth_spec(), 1,
+                                    -(-n // tiny_config.n_classes))
+    ctx = make_eval_class_set(tiny_state, big.text_embeddings, True)
+    assert_batch_matches_composition(big.tokens[:n], tiny_state, ctx)
 
 
 def test_predict_matches_independent_composition(tiny_state, tiny_episode):
-    """Five items through a by-hand composition of the stage operations."""
+    """Five items through predict and through the by-hand composition."""
     _, base_test, _ = tiny_episode
-    cfg = tiny_state.config
     ctx = make_eval_class_set(tiny_state, base_test.text_embeddings, True)
     for i in range(5):
         X = base_test.tokens[i].astype(float)
-        c_hat = match_class(l2_normalize(X.mean(axis=0)), ctx.matching_bank)
-        protos = ctx.fusion_bank.prototypes[c_hat]
-        combined = combine_scores(sample_scores(X, ctx.text[c_hat]),
-                                  semantic_scores(X, protos), cfg.semantic_on)
-        sel = select_activated(combined, cfg.k_act, cfg.selection_variant)
-        t1, t2 = stratify(sel, combined, X, protos, cfg.recalc_on)
-        tiers = [(0, X[t1])] + ([(1, X[t2])] if t2.size else [])
-        V, R, _ = reps_fwd(tiers, protos, ctx.text, tiny_state.params,
-                           tiny_state.theta, cfg.tau)
-        v = l2_normalize(np.vstack(V).mean(axis=0))
-        Tp = normalize_rows(np.stack(R, axis=1).mean(axis=1))
-        want_probs = softmax(Tp @ v, cfg.tau)
-        want = int(np.argmax(want_probs))
+        want, want_probs = composed_predict(X, tiny_state, ctx)
         got, got_probs = predict(X, tiny_state, ctx)
         assert got == want
         assert np.abs(got_probs - want_probs).max() < 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_batch_rejects_non_3d_input(tiny_state, tiny_episode, variant):
+    _, base_test, _ = tiny_episode
+    state = replace(tiny_state,
+                    config=tiny_state.config.with_overrides(selection_variant=variant))
+    ctx = make_eval_class_set(state, base_test.text_embeddings, True)
+    X = base_test.tokens.astype(float)
+    for bad in (X[0], X[None]):
+        with pytest.raises(DimMismatch):
+            predict_batch(bad, state, ctx)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_batch_rejects_k_out_of_range(tiny_state, tiny_episode, variant):
+    _, base_test, _ = tiny_episode
+    state = replace(tiny_state,
+                    config=tiny_state.config.with_overrides(selection_variant=variant))
+    ctx = make_eval_class_set(state, base_test.text_embeddings, True)
+    for k in (0, base_test.n_tok + 1):
+        with pytest.raises(KOutOfRange):
+            predict_batch(base_test.tokens, state, ctx, k=k)
+        with pytest.raises(KOutOfRange):
+            predict(base_test.tokens[0], state, ctx, k=k)
 
 
 def test_tier_mode_lev1_lev2_run(tiny_state, tiny_episode):

@@ -1,109 +1,131 @@
 import numpy as np
 
-from spotlighter.numerics import TransformerBlockParams, block_param_count, normalize_rows
+from spotlighter.numerics import (
+    TransformerBlockParams,
+    block_param_count,
+    normalize_rows,
+    transformer_block_fwd,
+)
 from spotlighter.representative import (
     FrozenTheta,
     FusionParams,
-    build_representatives,
-    extract_visual_rep,
-    irm_fuse,
     reps_bwd,
     reps_fwd,
     trainable_param_count,
-    trm_fuse,
-    trm_match_weights,
 )
 from spotlighter.rng import Stream
 
 from .reference_impls import ref_transformer_block, ref_trm
 
 
-def rand_params(d=8, heads=2, seed=3, scale=0.3, shared=False):
-    return FusionParams.init(d, heads, Stream(seed), ffn_mult=2, alpha=0.2,
+def rand_params(d=8, heads=2, seed=3, scale=0.3, shared=False, alpha=0.2):
+    return FusionParams.init(d, heads, Stream(seed), ffn_mult=2, alpha=alpha,
                              shared_irm=shared, scale=scale)
 
 
-# --- irm_fuse -------------------------------------------------------------------
+def one_tier(tokens, protos, text, params, theta, temperature=0.01):
+    """(V, R) of a single tier-0 pass through reps_fwd."""
+    V, R, _ = reps_fwd([(0, tokens)], protos, text, params, theta, temperature)
+    return V[0], R[0]
+
+
+# --- IRM: prototypes cross-attend over tier tokens ---------------------------------
 
 def test_irm_zero_params_residual_identity(rng):
     protos = rng.normal(size=(5, 8))
     tier = rng.normal(size=(6, 8))
-    out = irm_fuse(protos, tier, TransformerBlockParams.zeros(8, 2))
-    assert np.array_equal(out, protos)
+    theta = FrozenTheta.init(8, 2, Stream(5), scale=0.4)
+    V, _ = one_tier(tier, protos, rng.normal(size=(3, 8)),
+                    FusionParams.zeros(8, 2), theta)
+    # a zero IRM block hands the prototypes to the frozen block unchanged
+    seq = np.vstack([protos, tier])
+    assert np.array_equal(V, transformer_block_fwd(seq, seq, theta.block)[0][:5])
 
 
 def test_irm_matches_reference(rng):
     p = TransformerBlockParams.random(8, 2, Stream(4), scale=0.4)
     protos = rng.normal(size=(5, 8))
     tier = rng.normal(size=(8, 8))
-    assert np.abs(irm_fuse(protos, tier, p) - ref_transformer_block(protos, tier, p)).max() < 1e-8
+    got, _ = transformer_block_fwd(protos, tier, p)
+    assert np.abs(got - ref_transformer_block(protos, tier, p)).max() < 1e-8
 
 
-# --- extract_visual_rep ------------------------------------------------------------
+# --- frozen block: self-attention over [fused prototypes; tier tokens] -----------
 
 def test_extract_zero_theta_passthrough(rng):
     fused = rng.normal(size=(4, 8))
     tier = rng.normal(size=(3, 8))
-    rep, rest = extract_visual_rep(fused, tier, FrozenTheta.zeros(8, 2))
-    assert np.array_equal(rep, fused)
-    assert np.array_equal(rest, tier)
+    seq = np.vstack([fused, tier])
+    out, _ = transformer_block_fwd(seq, seq, FrozenTheta.zeros(8, 2).block)
+    assert np.array_equal(out[:4], fused)
+    assert np.array_equal(out[4:], tier)
 
 
 def test_extract_matches_reference_self_attention(rng):
     theta = FrozenTheta.init(8, 2, Stream(6), scale=0.4)
-    fused = rng.normal(size=(1, 8))
+    protos = rng.normal(size=(1, 8))
     tier = rng.normal(size=(1, 8))
-    rep, rest = extract_visual_rep(fused, tier, theta)
-    seq = np.vstack([fused, tier])
+    V, _ = one_tier(tier, protos, rng.normal(size=(3, 8)),
+                    FusionParams.zeros(8, 2), theta)
+    seq = np.vstack([protos, tier])
     want = ref_transformer_block(seq, seq, theta.block)
-    assert np.abs(rep - want[:1]).max() < 1e-8
-    assert np.abs(rest - want[1:]).max() < 1e-8
+    assert np.abs(V - want[:1]).max() < 1e-8
 
 
 def test_extract_row_counts(rng):
     theta = FrozenTheta.init(8, 2, Stream(7))
     for K, m in [(2, 5), (4, 1), (1, 1)]:
-        rep, rest = extract_visual_rep(rng.normal(size=(K, 8)),
-                                       rng.normal(size=(m, 8)), theta)
-        assert rep.shape == (K, 8) and rest.shape == (m, 8)
+        V, R = one_tier(rng.normal(size=(m, 8)), rng.normal(size=(K, 8)),
+                        rng.normal(size=(3, 8)), rand_params(), theta)
+        assert V.shape == (K, 8) and R.shape == (3, 8)
 
 
-# --- trm_fuse -------------------------------------------------------------------
+# --- TRM: residual linear fusion of text tokens with tier aggregates ---------------
 
 def test_trm_alpha_zero_is_identity(rng):
     text = rng.normal(size=(4, 8))
     tier = rng.normal(size=(5, 8))
-    p = rand_params()
-    out = trm_fuse(text, tier, p.trm_w, p.trm_b, 0.0, 0.01)
-    assert np.array_equal(out, text)
+    _, R = one_tier(tier, rng.normal(size=(2, 8)), text, rand_params(alpha=0.0),
+                    FrozenTheta.zeros(8, 2))
+    assert np.array_equal(R, text)
 
 
 def test_trm_single_candidate_softmax(rng):
     text = normalize_rows(rng.normal(size=(3, 8)))
     tier = rng.normal(size=(1, 8))
-    W = trm_match_weights(text, tier, 0.01)
-    assert np.allclose(W, 1.0)
-    p = rand_params()
-    out = trm_fuse(text, tier, p.trm_w, p.trm_b, 0.5, 0.01)
+    p = rand_params(alpha=0.5)
+    _, R = one_tier(tier, rng.normal(size=(2, 8)), text, p, FrozenTheta.zeros(8, 2))
+    # one candidate takes all the matching weight
     want = 0.5 * (np.hstack([text, np.tile(tier[0], (3, 1))]) @ p.trm_w + p.trm_b) + text
-    assert np.abs(out - want).max() < 1e-12
+    assert np.abs(R - want).max() < 1e-12
 
 
 def test_trm_matches_loop_reference(rng):
     text = rng.normal(size=(4, 8))
     tier = rng.normal(size=(6, 8))
     p = rand_params(seed=9)
-    got = trm_fuse(text, tier, p.trm_w, p.trm_b, 0.2, 0.05)
+    _, got = one_tier(tier, rng.normal(size=(2, 8)), text, p,
+                      FrozenTheta.zeros(8, 2), 0.05)
     want = ref_trm(text, tier, p.trm_w, p.trm_b, 0.2, 0.05)
     assert np.abs(got - want).max() < 1e-8
 
 
 def test_trm_match_rows_sum_to_one(rng):
-    W = trm_match_weights(rng.normal(size=(5, 8)), rng.normal(size=(7, 8)), 0.01)
-    assert np.abs(W.sum(axis=1) - 1.0).max() < 1e-9
+    # with trm_w = [0; I], zero bias and alpha = 1 the fusion adds the
+    # aggregate W @ tier to the text; every tier token has coordinate 0 equal
+    # to 1, so that coordinate of the aggregate is the row sum of W
+    d = 8
+    tier = rng.normal(size=(7, d))
+    tier[:, 0] = 1.0
+    text = rng.normal(size=(5, d))
+    p = rand_params(alpha=1.0)
+    p.trm_w[...] = np.vstack([np.zeros((d, d)), np.eye(d)])
+    p.trm_b[...] = 0.0
+    _, R = one_tier(tier, rng.normal(size=(2, d)), text, p, FrozenTheta.zeros(d, 2))
+    assert np.abs((R - text)[:, 0] - 1.0).max() < 1e-9
 
 
-# --- build_representatives -----------------------------------------------------------
+# --- the full chain over both tiers ------------------------------------------------
 
 def test_build_zero_params_residual_chain(rng):
     d = 8
@@ -113,9 +135,9 @@ def test_build_zero_params_residual_chain(rng):
     t2 = rng.normal(size=(2, d))
     params = FusionParams.zeros(d, 2, alpha=0.0)
     theta = FrozenTheta.zeros(d, 2)
-    V, R = build_representatives([(0, t1), (1, t2)], protos, text, params, theta, 0.01)
-    assert np.array_equal(V, np.vstack([protos, protos]))
-    assert np.array_equal(R, np.vstack([text, text]))
+    V, R, _ = reps_fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.01)
+    assert np.array_equal(np.vstack(V), np.vstack([protos, protos]))
+    assert np.array_equal(np.vstack(R), np.vstack([text, text]))
 
 
 def test_build_empty_tier_is_tier1_only(rng):
@@ -125,12 +147,13 @@ def test_build_empty_tier_is_tier1_only(rng):
     t1 = rng.normal(size=(2, d))
     params = rand_params(d)
     theta = FrozenTheta.init(d, 2, Stream(8))
-    V_a, R_a = build_representatives([(0, t1), (1, np.zeros((0, d)))], protos,
-                                     text, params, theta, 0.01)
-    V_b, R_b = build_representatives([(0, t1)], protos, text, params, theta, 0.01)
-    assert np.array_equal(V_a, V_b)
-    assert np.array_equal(R_a, R_b)
-    assert V_b.shape == (3, d) and R_b.shape == (4, d)
+    V_a, R_a, _ = reps_fwd([(0, t1), (1, np.zeros((0, d)))], protos,
+                           text, params, theta, 0.01)
+    V_b, R_b, _ = reps_fwd([(0, t1)], protos, text, params, theta, 0.01)
+    assert len(V_a) == len(R_a) == 1
+    assert np.array_equal(V_a[0], V_b[0])
+    assert np.array_equal(R_a[0], R_b[0])
+    assert V_b[0].shape == (3, d) and R_b[0].shape == (4, d)
 
 
 def test_build_matches_composed_oracle(rng):
@@ -141,7 +164,8 @@ def test_build_matches_composed_oracle(rng):
     t2 = rng.normal(size=(2, d))
     params = rand_params(d, seed=10)
     theta = FrozenTheta.init(d, 2, Stream(11), scale=0.4)
-    V, R = build_representatives([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
+    V, R, _ = reps_fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
+    V, R = np.vstack(V), np.vstack(R)
     assert V.shape == (10, d) and R.shape == (8, d)
     parts_v, parts_r = [], []
     for tier, tokens in ((0, t1), (1, t2)):
@@ -161,9 +185,9 @@ def test_shared_irm_uses_one_block(rng):
     protos = rng.normal(size=(2, d))
     text = rng.normal(size=(3, d))
     tokens = rng.normal(size=(2, d))
-    V, _ = build_representatives([(0, tokens), (1, tokens)], protos, text,
-                                 params, FrozenTheta.zeros(d, 2), 0.01)
-    assert np.array_equal(V[:2], V[2:])
+    V, _, _ = reps_fwd([(0, tokens), (1, tokens)], protos, text,
+                       params, FrozenTheta.zeros(d, 2), 0.01)
+    assert np.array_equal(V[0], V[1])
 
 
 # --- parameters -----------------------------------------------------------------
@@ -195,8 +219,8 @@ def test_flatten_roundtrip(rng):
 def test_theta_bytes_stable_under_reads(rng):
     theta = FrozenTheta.init(8, 2, Stream(12))
     before = theta.to_bytes()
-    irm_fuse(rng.normal(size=(2, 8)), rng.normal(size=(3, 8)), theta.block)
-    extract_visual_rep(rng.normal(size=(2, 8)), rng.normal(size=(3, 8)), theta)
+    reps_fwd([(0, rng.normal(size=(3, 8)))], rng.normal(size=(2, 8)),
+             rng.normal(size=(4, 8)), rand_params(), theta, 0.01)
     assert theta.to_bytes() == before
 
 
