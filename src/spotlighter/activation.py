@@ -5,6 +5,9 @@ Selection variants mirror the degradation studies: keep the k best scores
 (`top-k`, the production path), keep the k worst (`bottom-k`), or drop the k
 best and keep the rest (`remove-top-k`). All orderings break ties toward the
 lower token index.
+
+Scoring and stratification also take stacked (N, n, d) items with per-item
+text rows and prototypes; selection takes one item's score vector.
 """
 
 from __future__ import annotations
@@ -21,16 +24,16 @@ VARIANTS = (VARIANT_TOP, VARIANT_BOTTOM, VARIANT_REMOVE_TOP)
 
 
 def sample_scores(visual_tokens: np.ndarray, text_embedding: np.ndarray) -> np.ndarray:
-    """Cosine of each token against one class text embedding."""
+    """Cosine of each token against its item's class text embedding."""
     text_embedding = np.asarray(text_embedding, dtype=np.float64)
-    if text_embedding.ndim != 1:
-        raise ZeroVector("text embedding must be a single vector")
-    return cosine_matrix(visual_tokens, text_embedding[None, :])[:, 0]
+    if text_embedding.ndim != np.ndim(visual_tokens) - 1:
+        raise ZeroVector("text embedding must be a single vector per item")
+    return cosine_matrix(visual_tokens, text_embedding[..., None, :])[..., 0]
 
 
 def semantic_scores(visual_tokens: np.ndarray, class_protos: np.ndarray) -> np.ndarray:
-    """Best prototype cosine per token for one category's prototypes."""
-    return cosine_matrix(visual_tokens, class_protos).max(axis=1)
+    """Best prototype cosine per token for its item's category prototypes."""
+    return cosine_matrix(visual_tokens, class_protos).max(axis=-1)
 
 
 def combine_scores(sample: np.ndarray, semantic: np.ndarray | None,
@@ -73,15 +76,17 @@ def stratify(selected: np.ndarray, combined: np.ndarray, tokens: np.ndarray,
     Ranking uses the combined scores, or — when recalc_on — semantic scores
     recomputed against the supplied (current) class prototypes. Tier 1 takes
     the top ceil(m/2) of the m selected tokens, tier 2 the remainder; both
-    are index lists into the original token array.
+    are index lists into the original token array (one row per item when the
+    inputs are stacked).
     """
     selected = np.asarray(selected, dtype=np.int64)
-    if selected.size == 0:
+    if selected.shape[-1] == 0:
         raise EmptySelection("no tokens selected")
     if recalc_on:
-        ranking = semantic_scores(tokens[selected], class_protos)
+        ranking = semantic_scores(np.take_along_axis(tokens, selected[..., None], axis=-2),
+                                  class_protos)
     else:
-        ranking = np.asarray(combined, dtype=np.float64)[selected]
-    order = np.lexsort((selected, -ranking))
-    n1 = (selected.size + 1) // 2
-    return selected[order[:n1]], selected[order[n1:]]
+        ranking = np.take_along_axis(np.asarray(combined, dtype=np.float64), selected, axis=-1)
+    ranked = np.take_along_axis(selected, np.lexsort((selected, -ranking), axis=-1), axis=-1)
+    n1 = (selected.shape[-1] + 1) // 2
+    return ranked[..., :n1], ranked[..., n1:]

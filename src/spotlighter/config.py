@@ -116,11 +116,6 @@ class RunConfig:
         data.update({k: v for k, v in overrides.items() if v is not None})
         return RunConfig.from_dict(data)
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        """Flat key=value file; blank lines and '#' comments allowed."""
-        return cls.from_dict({**cls().to_dict(), **parse_config_file(path)})
-
     def synth_spec(self) -> SynthSpec:
         return SynthSpec(
             n_classes=self.n_classes, n_tok=self.n_tok, d=self.d,

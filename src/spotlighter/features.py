@@ -130,8 +130,8 @@ class FeatureSet:
         return b"".join(parts)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+def _unit_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.divide(x, np.linalg.norm(x, axis=-1, keepdims=True), out=out)
 
 
 def _make_split(mu: np.ndarray, text: np.ndarray, pool: np.ndarray,
@@ -146,13 +146,16 @@ def _make_split(mu: np.ndarray, text: np.ndarray, pool: np.ndarray,
     sig_noise = sig_scale * stream.normals(n_items, n_sig, spec.d)
     if n_dis:
         dis_idx = stream.integers(n_items * n_dis, spec.distractor_pool).reshape(n_items, n_dis)
-        dis_noise = sig_scale * stream.normals(n_items, n_dis, spec.d)
+        dis_noise = stream.normals(n_items, n_dis, spec.d)
 
     labels = np.repeat(np.arange(C, dtype=np.uint32), per_class)
     tokens = np.empty((n_items, spec.n_tok, spec.d), dtype=np.float64)
     tokens[:, :n_sig, :] = _unit_rows(mu[labels][:, None, :] + sig_noise)
     if n_dis:
-        tokens[:, n_sig:, :] = _unit_rows(pool[dis_idx] + dis_noise)
+        # in place: a bulk split's distractor block is tens of MiB per copy
+        dis_noise *= sig_scale
+        dis_noise += pool[dis_idx]
+        _unit_rows(dis_noise, out=tokens[:, n_sig:, :])
 
     return FeatureSet(
         tokens=tokens.astype(np.float32),

@@ -91,14 +91,16 @@ def init_bank(text_embeddings: np.ndarray, n_prototypes: int, mode: str,
     return MemoryBank(raw / norms, beta=beta, init_mode=mode)
 
 
-def match_class(pooled_visual: np.ndarray, bank: MemoryBank) -> int:
+def match_class(pooled_visual: np.ndarray, bank: MemoryBank):
     """Category whose best prototype is most cosine-similar to the query.
 
-    Ties break to the lowest category index.
+    A (d,) query gives an int; (N, d) queries give an (N,) array. Ties break
+    to the lowest category index.
     """
-    sims = cosine_matrix(pooled_visual[None, :], bank.prototypes.reshape(-1, bank.d))
-    per_class = sims.reshape(bank.n_classes, bank.n_prototypes).max(axis=1)
-    return int(np.argmax(per_class))
+    sims = cosine_matrix(pooled_visual, bank.prototypes.reshape(-1, bank.d))
+    per_class = sims.reshape(-1, bank.n_classes, bank.n_prototypes).max(axis=-1)
+    best = np.argmax(per_class, axis=-1)
+    return int(best[0]) if np.ndim(pooled_visual) == 1 else best
 
 
 def assign_tokens(tok_act: np.ndarray, class_protos: np.ndarray,

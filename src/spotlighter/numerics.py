@@ -60,12 +60,13 @@ def normalize_rows(A: np.ndarray) -> np.ndarray:
 
 
 def cosine_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities: entry (i, j) = cos(A[i], B[j])."""
+    """Pairwise cosine similarities: entry (..., i, j) = cos(A[..., i, :], B[..., j, :]);
+    leading axes broadcast as in matmul."""
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-    if A.shape[1] != B.shape[1]:
-        raise DimMismatch(f"column counts differ: {A.shape[1]} vs {B.shape[1]}")
-    return normalize_rows(A) @ normalize_rows(B).T
+    if A.shape[-1] != B.shape[-1]:
+        raise DimMismatch(f"column counts differ: {A.shape[-1]} vs {B.shape[-1]}")
+    return normalize_rows(A) @ normalize_rows(B).swapaxes(-1, -2)
 
 
 def softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -193,10 +194,6 @@ class TransformerBlockParams:
     @property
     def d_model(self) -> int:
         return self.wq.shape[0]
-
-    @property
-    def d_hidden(self) -> int:
-        return self.w1.shape[1]
 
     def tensors(self):
         """Fixed-order (name, array) pairs; the order is the wire order."""

@@ -11,11 +11,12 @@ transformer block, the feature arrays, and the text embeddings are never
 written to.
 
 Inference has one path, `predict_batch`, which walks the items in chunks of
-`_CHUNK`; `predict` is a batch of one. The category is identified against a
-zero-jitter matching bank built from the split's text embeddings under the
-configured init mode (as `match_class` does); the trained bank (base split)
-or the same on-the-fly bank (novel split) then supplies prototypes for
-semantic scoring and fusion.
+`_CHUNK`; `predict` is a batch of one. A chunk runs the training stage
+functions over its item axis: `match_class` identifies the category against
+a zero-jitter matching bank built from the split's text embeddings under the
+configured init mode; the trained bank (base split) or the same on-the-fly
+bank (novel split) then supplies prototypes for scoring, stratification and
+the cache-free `reps_fwd`, and a pooled cosine head classifies.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .activation import (
-    VARIANT_TOP,
     combine_scores,
     sample_scores,
     select_activated,
     semantic_scores,
     stratify,
 )
-from .config import RunConfig
+from .config import TIER_MODES, RunConfig
 from .errors import (
     BadMagic,
     ConfigError,
@@ -51,14 +51,14 @@ from .errors import (
     WorkloadTooSmall,
 )
 from .features import FeatureSet, generate_base_novel
-from .memory_bank import MemoryBank, assign_tokens, init_bank, local_loss, momentum_update
+from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, match_class,
+                          momentum_update)
 from .numerics import (
     TransformerBlockParams,
     cosine_matrix,
     finite_difference_errors,
     normalize_rows,
     softmax_rows,
-    transformer_block_batch,
     transformer_block_fwd,
 )
 from .objectives import LossWeights, losses_fwd_bwd, losses_value
@@ -68,8 +68,8 @@ from .rng import Stream
 CKPT_MAGIC = b"SPOTCKPT"
 CKPT_VERSION = 1
 
-# items per block-forward pass in predict_batch: the forward keeps every
-# intermediate in its cache, so the pass size sets the peak memory
+# items per block-forward pass in predict_batch: a block forward holds every
+# intermediate of its pass while it runs, so the pass size sets the peak memory
 _CHUNK = 256
 
 _TAG_BANK = 100
@@ -182,10 +182,17 @@ def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
 
     tier1, tier2 = stratify(selected, combined, X, bank.prototypes[label],
                             cfg.recalc_on)
-    tiers = [(0, X[tier1])]
-    if tier2.size:
-        tiers.append((1, X[tier2]))
-    return bank, tiers, local
+    return bank, _tier_list(X, tier1, tier2, "both"), local
+
+
+def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_mode: str):
+    """(tier index, tokens) pairs for `reps_fwd`: every nonempty tier under
+    "both", else the one tier "lev1"/"lev2" names (tier 2 must be nonempty)."""
+    if tier_mode == "lev2" and tier2.shape[-1] == 0:
+        raise EmptySelection("tier 2 is empty under lev2 inference")
+    return [(t, np.take_along_axis(X, idx[..., None], axis=-2))
+            for t, idx in enumerate((tier1, tier2))
+            if idx.shape[-1] and tier_mode in ("both", f"lev{t + 1}")]
 
 
 def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
@@ -283,7 +290,7 @@ def predict_batch(tokens: np.ndarray, state: TrainedState,
     """Label-free pruned classification of (N, n_tok, d) items: (preds, probs).
 
     Items are classified independently, _CHUNK at a time, which bounds the
-    memory the block forward's caches hold.
+    memory the block forwards hold.
     """
     cfg = state.config
     k = cfg.k_act if k is None else k
@@ -293,83 +300,31 @@ def predict_batch(tokens: np.ndarray, state: TrainedState,
         raise DimMismatch(f"tokens must be (N, n_tok, {cfg.d}), got shape {X.shape}")
     if not 1 <= k <= X.shape[1]:
         raise KOutOfRange(f"k={k} outside [1, {X.shape[1]}]")
-    # an empty batch still runs one (empty) chunk: outputs (0,) and (0, C)
+    if tier_mode not in TIER_MODES:
+        raise ConfigError(f"tier_mode {tier_mode!r} not in {TIER_MODES}")
+    if len(X) == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros((0, len(class_set.text)))
     parts = [_predict_chunk(X[i : i + _CHUNK], state, class_set, k, tier_mode)
-             for i in range(0, max(len(X), 1), _CHUNK)]
+             for i in range(0, len(X), _CHUNK)]
     return (np.concatenate([preds for preds, _ in parts]),
             np.concatenate([probs for _, probs in parts]))
 
 
 def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
                    k: int, tier_mode: str):
+    """The training front end's stages, unlabeled, over an item axis."""
     cfg = state.config
-    d = cfg.d
-    pooled = normalize_rows(X.mean(axis=1))
-    match_protos = normalize_rows(
-        class_set.matching_bank.prototypes.reshape(-1, d)
-    ).reshape(class_set.matching_bank.prototypes.shape)
-    c_hat = np.argmax(
-        np.einsum("nd,ckd->nck", pooled, match_protos).max(axis=2), axis=1
-    )
-
-    text_n = normalize_rows(class_set.text)
-    Xn = normalize_rows(X.reshape(-1, d)).reshape(X.shape)
-    fp = class_set.fusion_bank.prototypes[c_hat]                  # (N, K, d)
-    fpn = normalize_rows(fp.reshape(-1, d)).reshape(fp.shape)
-    samp = np.einsum("nid,nd->ni", Xn, text_n[c_hat])
-    if cfg.semantic_on:
-        combined = samp + np.einsum("nid,nkd->nik", Xn, fpn).max(axis=2)
-    else:
-        combined = samp
-
-    if cfg.selection_variant == VARIANT_TOP:
-        sel = np.argsort(-combined, axis=1, kind="stable")[:, :k]
-    elif cfg.selection_variant == "bottom-k":
-        sel = np.argsort(combined, axis=1, kind="stable")[:, :k]
-    else:
-        sel = np.argsort(-combined, axis=1, kind="stable")[:, k:]
-    if sel.shape[1] == 0:
-        raise EmptySelection("selection variant kept no tokens")
-
-    if cfg.recalc_on:
-        Xsel_n = np.take_along_axis(Xn, sel[:, :, None], axis=1)
-        rank = np.einsum("nmd,nkd->nmk", Xsel_n, fpn).max(axis=2)
-    else:
-        rank = np.take_along_axis(combined, sel, axis=1)
-    order = np.lexsort((sel, -rank), axis=-1)
-    sel_sorted = np.take_along_axis(sel, order, axis=1)
-    n1 = (sel.shape[1] + 1) // 2
-    tier_idx = {0: sel_sorted[:, :n1], 1: sel_sorted[:, n1:]}
-
-    if tier_mode == "lev1":
-        active = [0]
-    elif tier_mode == "lev2":
-        if tier_idx[1].shape[1] == 0:
-            raise EmptySelection("tier 2 is empty under lev2 inference")
-        active = [1]
-    else:
-        active = [0] if tier_idx[1].shape[1] == 0 else [0, 1]
-
-    params, theta = state.params, state.theta
-    V_parts, R_parts = [], []
-    for t in active:
-        tier_tok = np.take_along_axis(X, tier_idx[t][:, :, None], axis=1)
-        irm = params.irm_for_tier(t)
-        fused = transformer_block_batch(fp, tier_tok, irm)
-        seq = np.concatenate([fused, tier_tok], axis=1)
-        out = transformer_block_batch(seq, seq, theta.block)
-        V_parts.append(out[:, : fp.shape[1]])
-
-        tier_n = normalize_rows(tier_tok.reshape(-1, d)).reshape(tier_tok.shape)
-        W = softmax_rows(np.einsum("cd,nmd->ncm", text_n, tier_n), cfg.tau)
-        agg = np.einsum("ncm,nmd->ncd", W, tier_tok)
-        Zt = np.concatenate([np.broadcast_to(class_set.text, agg.shape), agg], axis=-1)
-        R_parts.append(params.alpha * (Zt @ params.trm_w + params.trm_b) + class_set.text)
-
-    V_all = np.concatenate(V_parts, axis=1)
-    v = normalize_rows(V_all.mean(axis=1))
-    Tp_raw = np.mean(np.stack(R_parts, axis=2), axis=2)           # (N, C, d)
-    Tp = Tp_raw / np.linalg.norm(Tp_raw, axis=-1, keepdims=True)
+    c_hat = match_class(X.mean(axis=1), class_set.matching_bank)
+    protos = class_set.fusion_bank.prototypes[c_hat]
+    sem = semantic_scores(X, protos) if cfg.semantic_on else None
+    combined = combine_scores(sample_scores(X, class_set.text[c_hat]), sem, cfg.semantic_on)
+    selected = np.stack([select_activated(row, k, cfg.selection_variant)
+                         for row in combined])
+    tier1, tier2 = stratify(selected, combined, X, protos, cfg.recalc_on)
+    V, R, _ = reps_fwd(_tier_list(X, tier1, tier2, tier_mode), protos, class_set.text,
+                       state.params, state.theta, cfg.tau, keep_cache=False)
+    v = normalize_rows(np.concatenate(V, axis=1).mean(axis=1))
+    Tp = normalize_rows(np.mean(np.stack(R, axis=2), axis=2))
     probs = softmax_rows(np.einsum("ncd,nd->nc", Tp, v), cfg.tau)
     return np.argmax(probs, axis=1), probs
 
@@ -672,7 +627,8 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
                                    alpha=cfg.alpha, shared_irm=cfg.share_irm,
                                    scale=0.1)
         params.trm_b[...] = 0.05 * stream.normals(cfg.d)
-        V_list, R_list, _ = reps_fwd(tiers, protos, text, params, theta, cfg.tau)
+        V_list, R_list, _ = reps_fwd(tiers, protos, text, params, theta, cfg.tau,
+                                     keep_cache=False)
         diff_ok = all(np.abs(R - text).min() > margin for R in R_list)
         norms_ok = (
             np.linalg.norm(np.vstack(V_list).mean(axis=0)) > 1e-3

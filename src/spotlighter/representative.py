@@ -13,8 +13,8 @@ the pair back to width d with a residual scaled by alpha.
 
 `reps_fwd`/`reps_bwd` run the trainable chain with caches and exact
 gradients; the frozen block propagates gradients but never receives them.
-`pipeline.predict_batch` repeats this chain, forward only, over a leading
-item axis.
+`reps_fwd` also runs over a leading item axis and, for callers that never
+run a backward pass (batched prediction), without caches.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .numerics import (
     cosine_matrix,
     softmax_rows,
     block_param_count,
+    transformer_block_batch,
     transformer_block_bwd,
     transformer_block_fwd,
 )
@@ -147,32 +148,42 @@ def trainable_param_count(d: int, ffn_mult: int = 2, shared_irm: bool = False) -
 # --------------------------------------------------------------------------
 
 def reps_fwd(tiers, class_protos: np.ndarray, text_tokens: np.ndarray,
-             params: FusionParams, theta: FrozenTheta, temperature: float):
+             params: FusionParams, theta: FrozenTheta, temperature: float,
+             *, keep_cache: bool = True):
     """Run IRM -> frozen block -> TRM per tier, keeping backward caches.
 
     Returns (V_list, R_list, cache): one (K, d) visual and one (C, d) text
-    representative set per nonempty tier, in tier order.
+    representative set per nonempty tier, in tier order. Stacked inputs —
+    (N, m, d) tier tokens and (N, K, d) prototypes, with the (C, d) text
+    shared — give (N, K, d) and (N, C, d) sets. With keep_cache=False the
+    blocks drop their intermediates and the returned cache is None.
     """
     protos = np.asarray(class_protos, dtype=np.float64)
     text = np.asarray(text_tokens, dtype=np.float64)
-    K = protos.shape[0]
+    K = protos.shape[-2]
+
+    def block(Q, KV, p):
+        if keep_cache:
+            return transformer_block_fwd(Q, KV, p)
+        return transformer_block_batch(Q, KV, p), None
+
     V_list, R_list, tier_caches = [], [], []
     for tier_idx, tokens in tiers:
         tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.shape[0] == 0:
+        if tokens.shape[-2] == 0:
             continue
-        irm = params.irm_for_tier(tier_idx)
-        fused, irm_cache = transformer_block_fwd(protos, tokens, irm)
-        seq = np.vstack([fused, tokens])
-        out, theta_cache = transformer_block_fwd(seq, seq, theta.block)
-        V_list.append(out[:K])
+        fused, irm_cache = block(protos, tokens, params.irm_for_tier(tier_idx))
+        seq = np.concatenate([fused, tokens], axis=-2)
+        out, theta_cache = block(seq, seq, theta.block)
+        V_list.append(out[..., :K, :])
 
         W = softmax_rows(cosine_matrix(text, tokens), temperature)
-        Z = np.hstack([text, W @ tokens])
+        agg = W @ tokens
+        Z = np.concatenate([np.broadcast_to(text, agg.shape), agg], axis=-1)
         R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + text)
-        tier_caches.append((params.irm_key_for_tier(tier_idx), irm_cache, theta_cache, Z, K))
-    cache = (params, tier_caches)
-    return V_list, R_list, cache
+        if keep_cache:
+            tier_caches.append((params.irm_key_for_tier(tier_idx), irm_cache, theta_cache, Z, K))
+    return V_list, R_list, (params, tier_caches) if keep_cache else None
 
 
 def reps_bwd(cache, dV_list, dR_list) -> dict:

@@ -32,6 +32,13 @@ def test_sample_scores_match_rowwise_oracle(rng):
     text = rng.normal(size=6)
     want = ref_cosine(tokens, text[None, :])[:, 0]
     assert np.abs(sample_scores(tokens, text) - want).max() < 1e-10
+    # stacked items, each against its own text row
+    stack, texts = rng.normal(size=(3, 32, 6)), rng.normal(size=(3, 6))
+    got = sample_scores(stack, texts)
+    assert got.shape == (3, 32)
+    for i in range(3):
+        assert np.abs(got[i] - sample_scores(stack[i], texts[i])).max() < 1e-12
+        assert np.abs(got[i] - ref_cosine(stack[i], texts[i][None, :])[:, 0]).max() < 1e-10
 
 
 def test_semantic_score_identity_and_k1(rng):
@@ -48,6 +55,13 @@ def test_semantic_scores_match_max_oracle(rng):
     protos = rng.normal(size=(5, 7))
     want = ref_cosine(tokens, protos).max(axis=1)
     assert np.abs(semantic_scores(tokens, protos) - want).max() < 1e-10
+    # stacked items, each against its own prototypes
+    stack, stack_protos = rng.normal(size=(3, 16, 7)), rng.normal(size=(3, 5, 7))
+    got = semantic_scores(stack, stack_protos)
+    assert got.shape == (3, 16)
+    for i in range(3):
+        assert np.abs(got[i] - semantic_scores(stack[i], stack_protos[i])).max() < 1e-12
+        assert np.abs(got[i] - ref_cosine(stack[i], stack_protos[i]).max(axis=1)).max() < 1e-10
 
 
 def test_combined_is_exact_sum(rng):
@@ -147,6 +161,16 @@ def test_stratify_partition_property(rng):
     assert sorted(list(t1) + list(t2)) == sorted(sel.tolist())
     assert set(t1).isdisjoint(t2)
     assert len(t1) == 4 and len(t2) == 3
+    # stacked items split exactly as one item at a time
+    combined = rng.normal(size=(4, 10))
+    tokens, protos = rng.normal(size=(4, 10, 4)), rng.normal(size=(4, 3, 4))
+    sel = np.stack([select_activated(row, 7, "top-k") for row in combined])
+    for recalc in (False, True):
+        t1, t2 = stratify(sel, combined, tokens, protos, recalc_on=recalc)
+        assert t1.shape == (4, 4) and t2.shape == (4, 3)
+        for i in range(4):
+            w1, w2 = stratify(sel[i], combined[i], tokens[i], protos[i], recalc_on=recalc)
+            assert np.array_equal(t1[i], w1) and np.array_equal(t2[i], w2)
 
 
 def test_stratify_recalc_follows_new_ranking(rng):

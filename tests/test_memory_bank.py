@@ -85,8 +85,8 @@ def test_match_class_scale_invariant(rng):
 def test_match_class_agrees_with_brute_force(rng):
     text = text_rows(rng, 10, 12)
     bank = init_bank(text, 4, "random", 0.0, seed=11)
-    for _ in range(20):
-        q = rng.normal(size=12)
+    queries = rng.normal(size=(20, 12))
+    for q in queries:
         best, best_val = None, -np.inf
         for c in range(10):
             for k in range(4):
@@ -94,6 +94,8 @@ def test_match_class_agrees_with_brute_force(rng):
                 if val > best_val:
                     best, best_val = c, val
         assert match_class(q, bank) == best
+    # stacked queries give one category per row, as the one-query call does
+    assert match_class(queries, bank).tolist() == [match_class(q, bank) for q in queries]
 
 
 # --- assign_tokens ----------------------------------------------------------------

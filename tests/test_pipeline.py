@@ -16,6 +16,7 @@ from spotlighter.activation import (
 from spotlighter.config import RunConfig
 from spotlighter.errors import (
     BadMagic,
+    ConfigError,
     DimMismatch,
     EmptySplit,
     KOutOfRange,
@@ -238,6 +239,23 @@ def test_predict_batch_rejects_k_out_of_range(tiny_state, tiny_episode, variant)
             predict_batch(base_test.tokens, state, ctx, k=k)
         with pytest.raises(KOutOfRange):
             predict(base_test.tokens[0], state, ctx, k=k)
+
+
+def test_predict_batch_empty_batch(tiny_state, tiny_episode):
+    _, base_test, _ = tiny_episode
+    ctx = make_eval_class_set(tiny_state, base_test.text_embeddings, True)
+    preds, probs = predict_batch(base_test.tokens[:0], tiny_state, ctx)
+    assert preds.shape == (0,)
+    assert probs.shape == (0, base_test.n_classes)
+
+
+def test_tier_mode_outside_the_list_rejected(tiny_state, tiny_episode):
+    _, base_test, novel_test = tiny_episode
+    ctx = make_eval_class_set(tiny_state, base_test.text_embeddings, True)
+    with pytest.raises(ConfigError):
+        predict_batch(base_test.tokens, tiny_state, ctx, tier_mode="bogus")
+    with pytest.raises(ConfigError):
+        evaluate(tiny_state, base_test, novel_test, tier_mode="LEV1")
 
 
 def test_tier_mode_lev1_lev2_run(tiny_state, tiny_episode):

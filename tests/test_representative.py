@@ -178,6 +178,44 @@ def test_build_matches_composed_oracle(rng):
     assert np.abs(R - np.vstack(parts_r)).max() < 1e-8
 
 
+def test_stacked_items_match_single_calls_and_oracle(rng):
+    d, N = 8, 3
+    protos = rng.normal(size=(N, 5, d))
+    text = rng.normal(size=(4, d))
+    t1, t2 = rng.normal(size=(N, 3, d)), rng.normal(size=(N, 2, d))
+    params = rand_params(d, seed=12)
+    theta = FrozenTheta.init(d, 2, Stream(13), scale=0.4)
+    V, R, _ = reps_fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
+    assert [v.shape for v in V] == [(N, 5, d)] * 2 and [r.shape for r in R] == [(N, 4, d)] * 2
+    for i in range(N):
+        V_i, R_i, _ = reps_fwd([(0, t1[i]), (1, t2[i])], protos[i], text, params, theta, 0.05)
+        for tier, tokens in ((0, t1[i]), (1, t2[i])):
+            assert np.abs(V[tier][i] - V_i[tier]).max() < 1e-12
+            assert np.abs(R[tier][i] - R_i[tier]).max() < 1e-12
+            fused = ref_transformer_block(protos[i], tokens, params.irm[tier])
+            seq = np.vstack([fused, tokens])
+            want_v = ref_transformer_block(seq, seq, theta.block)[:5]
+            assert np.abs(V[tier][i] - want_v).max() < 1e-8
+            want_r = ref_trm(text, tokens, params.trm_w, params.trm_b, 0.2, 0.05)
+            assert np.abs(R[tier][i] - want_r).max() < 1e-8
+
+
+def test_cache_free_forward_equals_cached(rng):
+    d = 8
+    params = rand_params(d, seed=14)
+    theta = FrozenTheta.init(d, 2, Stream(15), scale=0.4)
+    text = rng.normal(size=(4, d))
+    for protos, tiers in (
+        (rng.normal(size=(5, d)), [(0, rng.normal(size=(3, d))), (1, rng.normal(size=(2, d)))]),
+        (rng.normal(size=(2, 5, d)), [(0, rng.normal(size=(2, 3, d)))]),
+    ):
+        V, R, cache = reps_fwd(tiers, protos, text, params, theta, 0.05)
+        V_free, R_free, no_cache = reps_fwd(tiers, protos, text, params, theta, 0.05,
+                                            keep_cache=False)
+        assert cache is not None and no_cache is None
+        assert all(np.array_equal(a, b) for a, b in zip(V + R, V_free + R_free))
+
+
 def test_shared_irm_uses_one_block(rng):
     d = 8
     params = rand_params(d, shared=True)
