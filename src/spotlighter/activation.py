@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptySelection, KOutOfRange, ZeroVector
+from .errors import DimMismatch, EmptySelection, KOutOfRange
 from .numerics import cosine_matrix
 
 VARIANT_TOP = "top-k"
@@ -27,7 +27,7 @@ def sample_scores(visual_tokens: np.ndarray, text_embedding: np.ndarray) -> np.n
     """Cosine of each token against its item's class text embedding."""
     text_embedding = np.asarray(text_embedding, dtype=np.float64)
     if text_embedding.ndim != np.ndim(visual_tokens) - 1:
-        raise ZeroVector("text embedding must be a single vector per item")
+        raise DimMismatch("text embedding must be a single vector per item")
     return cosine_matrix(visual_tokens, text_embedding[..., None, :])[..., 0]
 
 

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Commands: gen, train, eval, ablate, gradcheck, bench. Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 numeric failure. SPOTLIGHTER_SEED
-provides the default seed; an explicit config file value or --seed flag
-overrides it. Config files are flat key=value text; flags override the file.
+1 usage/config error, 2 data error, 3 numeric failure (the error's family
+carries its code; an OS error reading or writing a file is a data error).
+SPOTLIGHTER_SEED provides the default seed; an explicit config file value or
+--seed flag overrides it. Config files are flat key=value text; flags
+override the file.
 """
 
 from __future__ import annotations
@@ -19,26 +21,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import RunConfig, parse_config_file
-from .errors import (
-    BadMagic,
-    ConfigError,
-    DimMismatch,
-    EmptySelection,
-    EmptySplit,
-    HeaderMismatch,
-    InvalidK,
-    InvalidSpec,
-    KOutOfRange,
-    LabelOutOfRange,
-    NonFiniteLoss,
-    NonPositiveTemperature,
-    NotADistribution,
-    TruncatedFile,
-    VersionMismatch,
-    WorkloadTooSmall,
-    ZeroVector,
-)
+from .config import RunConfig, parse_config_file, parse_value
+from .errors import SpotlighterError
 from .features import generate_base_novel, read_features, write_features
 from .pipeline import (
     bench_throughput,
@@ -58,25 +42,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-_USAGE_ERRORS = (ConfigError, InvalidSpec, InvalidK, KOutOfRange, WorkloadTooSmall)
-_DATA_ERRORS = (BadMagic, TruncatedFile, HeaderMismatch, VersionMismatch,
-                DimMismatch, LabelOutOfRange, EmptySplit, EmptySelection, OSError)
-_NUMERIC_ERRORS = (NonFiniteLoss, NotADistribution, ZeroVector, NonPositiveTemperature)
-
 _GRADCHECK_DEFAULTS = dict(d=4, n_tok=8, n_classes=3, signal_tokens=2, k_act=4,
                            n_proto=2, heads=2, shots=1, test_per_class=1, epochs=0)
-
-
-def _bool_flag(value: str) -> bool:
-    low = value.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
-
-
-_FLAG_TYPES = {bool: _bool_flag, int: int, float: float, str: str}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -86,26 +53,20 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(RunConfig):
         flag = "--" + f.name.replace("_", "-")
         group.add_argument(flag, dest=f.name, default=None,
-                           type=_FLAG_TYPES[type(f.default)],
                            help=f"[{f.default}]", metavar=f.name.upper())
 
 
 def _build_config(args, extra_defaults: dict | None = None) -> RunConfig:
-    data = RunConfig().to_dict()
-    if extra_defaults:
-        data.update(extra_defaults)
+    data = {**RunConfig().to_dict(), **(extra_defaults or {})}
     env_seed = os.environ.get("SPOTLIGHTER_SEED")
     if env_seed is not None:
-        try:
-            data["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"SPOTLIGHTER_SEED: {exc}") from exc
+        data["seed"] = parse_value("seed", env_seed, "SPOTLIGHTER_SEED")
     if args.config:
         data.update(parse_config_file(args.config))
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            data[f.name] = value
+        text = getattr(args, f.name, None)
+        if text is not None:
+            data[f.name] = parse_value(f.name, text, "--" + f.name.replace("_", "-"))
     return RunConfig.from_dict(data)
 
 
@@ -155,16 +116,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state = load_state(args.checkpoint)
-    if args.tier is not None:
-        state.config = state.config.with_overrides(tier_mode=args.tier)
+    tier_mode = args.tier or state.config.tier_mode
     base = read_features(args.base)
     novel = read_features(args.novel)
-    metrics = evaluate(state, base, novel, tier_mode=state.config.tier_mode)
+    metrics = evaluate(state, base, novel, tier_mode=tier_mode)
     rounded = {
         "base_acc": round(metrics.base_acc, 2),
         "novel_acc": round(metrics.novel_acc, 2),
         "harmonic_mean": round(metrics.harmonic, 2),
-        "tier_mode": state.config.tier_mode,
+        "tier_mode": tier_mode,
         "per_class_base": [round(x, 2) for x in metrics.per_class_base],
         "per_class_novel": [round(x, 2) for x in metrics.per_class_novel],
     }
@@ -339,15 +299,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.run(args)
-    except _USAGE_ERRORS as exc:
+    except (SpotlighterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return getattr(exc, "exit_code", EXIT_DATA)  # an OSError is a data error
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Run configuration: every tunable with its default, flat key=value config
-file parsing, and strict validation (unknown keys are rejected).
+file parsing, and strict validation (unknown keys and mistyped values are
+rejected). `parse_value` is the one conversion from text to a typed value,
+for config files, command-line flags and SPOTLIGHTER_SEED alike.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -101,20 +104,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a mapping, got {type(data).__name__}")
+        unknown = sorted(set(data) - set(_DEFAULTS))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        cfg = cls(**data)
-        return cfg.validate()
+        for key, value in data.items():
+            kind = type(_DEFAULTS[key])
+            if not _type_ok(kind, value):
+                raise ConfigError(f"{key}: {value!r} is not a valid {kind.__name__}")
+        return cls(**data).validate()
 
     def with_overrides(self, **overrides) -> "RunConfig":
-        data = self.to_dict()
-        unknown = sorted(set(overrides) - set(data))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return RunConfig.from_dict(data)
+        return RunConfig.from_dict({**self.to_dict(), **overrides})
 
     def synth_spec(self) -> SynthSpec:
         return SynthSpec(
@@ -128,6 +130,16 @@ class RunConfig:
                            lambda3=self.lambda3, tau=self.tau)
 
 
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+def _type_ok(kind: type, value) -> bool:
+    # a bool is not an int here; an int is a valid float, if finite
+    if kind is float and not isinstance(value, bool):
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind) and (kind is bool) == isinstance(value, bool)
+
+
 def parse_config_file(path) -> dict:
     """Key/value pairs from a flat config file, coerced but not defaulted."""
     data: dict = {}
@@ -138,7 +150,7 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        data[key] = _coerce(RunConfig, key, value, f"{path}:{lineno}")
+        data[key] = parse_value(key, value, f"{path}:{lineno}")
     return data
 
 
@@ -146,20 +158,13 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
 
-def _coerce(cls, key: str, value: str, where: str):
-    proto = {f.name: f.default for f in fields(cls)}
-    if key not in proto:
+def parse_value(key: str, text: str, where: str):
+    """The typed value of config key `key` written as `text`; `where` names
+    the source in error messages."""
+    if key not in _DEFAULTS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
-    target = proto[key]
+    kind = type(_DEFAULTS[key])
     try:
-        if isinstance(target, bool):
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {value!r}")
-            return _BOOL_WORDS[value.lower()]
-        if isinstance(target, int):
-            return int(value)
-        if isinstance(target, float):
-            return float(value)
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+        return _BOOL_WORDS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{where}: {text!r} is not a valid {kind.__name__} for {key}") from exc

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by public operations derives from SpotlighterError so
-callers can catch the whole family at once. The CLI maps subfamilies to
-distinct exit codes (see cli.EXIT_*).
+Every error raised by public operations derives from SpotlighterError, and
+from exactly one of three families whose `exit_code` the CLI returns:
+UsageError 1, DataError 2, NumericError 3.
 """
 
 
@@ -10,75 +10,90 @@ class SpotlighterError(Exception):
     """Base class for all package errors."""
 
 
-# --- numeric domain errors ------------------------------------------------
-
-class ZeroVector(SpotlighterError):
-    """A vector with (near-)zero norm where a direction is required."""
-
-
-class DimMismatch(SpotlighterError):
-    """Operands disagree on a shared dimension."""
+class UsageError(SpotlighterError):
+    """The request or its configuration is invalid."""
+    exit_code = 1
 
 
-class NonPositiveTemperature(SpotlighterError):
-    """Softmax/scaling temperature must be strictly positive."""
+class DataError(SpotlighterError):
+    """An input file or array is malformed or disagrees with the model."""
+    exit_code = 2
 
 
-class NotADistribution(SpotlighterError):
-    """Input does not sum to one or has negative entries."""
+class NumericError(SpotlighterError):
+    """A computation left its numeric domain."""
+    exit_code = 3
 
 
-class NonFiniteLoss(SpotlighterError):
-    """A loss or objective evaluated to NaN/Inf."""
+# --- usage: configuration & request errors ----------------------------------
 
-
-# --- configuration & request errors ---------------------------------------
-
-class ConfigError(SpotlighterError):
+class ConfigError(UsageError):
     """Invalid or unknown configuration key/value."""
 
 
-class InvalidSpec(SpotlighterError):
+class InvalidSpec(UsageError):
     """Synthetic feature specification violates its invariants."""
 
 
-class InvalidK(SpotlighterError):
+class InvalidK(UsageError):
     """Prototype count K must be at least 1."""
 
 
-class KOutOfRange(SpotlighterError):
+class KOutOfRange(UsageError):
     """Selection size k outside [1, n_tokens]."""
 
 
-class LabelOutOfRange(SpotlighterError):
-    """Category label not within [0, n_classes)."""
-
-
-class EmptySelection(SpotlighterError):
-    """Stratification requires a nonempty selected set."""
-
-
-class EmptySplit(SpotlighterError):
-    """Evaluation split contains no items."""
-
-
-class WorkloadTooSmall(SpotlighterError):
+class WorkloadTooSmall(UsageError):
     """Benchmark workload below the minimum item count."""
 
 
-# --- file format errors ----------------------------------------------------
+# --- data: inputs, shapes and file formats -------------------------------------
 
-class BadMagic(SpotlighterError):
+class DimMismatch(DataError):
+    """Operands disagree on a shared dimension."""
+
+
+class LabelOutOfRange(DataError):
+    """Category label not within [0, n_classes)."""
+
+
+class EmptySelection(DataError):
+    """Stratification requires a nonempty selected set."""
+
+
+class EmptySplit(DataError):
+    """Evaluation split contains no items."""
+
+
+class BadMagic(DataError):
     """File does not start with the expected magic bytes."""
 
 
-class TruncatedFile(SpotlighterError):
+class VersionMismatch(DataError):
+    """File format version not supported by this build."""
+
+
+class HeaderMismatch(DataError):
+    """Header is malformed or disagrees with the payload."""
+
+
+class TruncatedFile(HeaderMismatch):
     """File ends before the declared payload is complete."""
 
 
-class HeaderMismatch(SpotlighterError):
-    """Declared header sizes disagree with the payload length."""
+# --- numeric domain errors ------------------------------------------------
+
+class ZeroVector(NumericError):
+    """A vector with (near-)zero norm where a direction is required."""
 
 
-class VersionMismatch(SpotlighterError):
-    """File format version not supported by this build."""
+class NonPositiveTemperature(NumericError):
+    """Softmax/scaling temperature must be strictly positive."""
+
+
+class NotADistribution(NumericError):
+    """Input does not sum to one or has negative entries."""
+
+
+class NonFiniteLoss(NumericError):
+    """A loss or objective evaluated to NaN/Inf."""

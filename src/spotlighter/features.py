@@ -18,23 +18,22 @@ noise, 3/4/5 per-split item content (train / test / extra split). Within a
 split, draws are bulk: signal noise, then distractor pool indices, then
 distractor noise, items in class-major order.
 
-File format (little-endian throughout)
---------------------------------------
-magic ``SPOT`` | version byte 0x01 | u32 header length | UTF-8 JSON header
-``{"dtype":"f32","layout":"row-major","n_items","n_tok","d","n_classes",
-"has_labels","split"}`` | payload: labels as u32 (when has_labels), visual
-tokens as f32 row-major, then text embeddings as f32.
+File format
+-----------
+The framing is `container.py`'s, with magic ``SPOT`` and version 1. JSON
+header ``{"dtype":"f32","layout":"row-major","n_items","n_tok","d",
+"n_classes","has_labels","split"}``; payload: labels as u32 (when
+has_labels), visual tokens as f32 row-major, then text embeddings as f32.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, HeaderMismatch, InvalidSpec, TruncatedFile, VersionMismatch
+from .container import read_container, write_container
+from .errors import HeaderMismatch, InvalidSpec
 from .rng import Stream
 
 MAGIC = b"SPOT"
@@ -212,75 +211,32 @@ def generate_base_novel(spec: SynthSpec, shots: int, test_per_class: int):
 # --------------------------------------------------------------------------
 
 def write_features(fs: FeatureSet, path) -> None:
-    header = {
-        "dtype": "f32",
-        "layout": "row-major",
-        "n_items": fs.n_items,
-        "n_tok": fs.n_tok,
-        "d": fs.d,
-        "n_classes": fs.n_classes,
-        "has_labels": fs.labels is not None,
-        "split": fs.split,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([VERSION]))
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        if fs.labels is not None:
-            fh.write(fs.labels.astype("<u4").tobytes())
-        fh.write(fs.tokens.astype("<f4").tobytes())
-        fh.write(fs.text_embeddings.astype("<f4").tobytes())
+    header = {"dtype": "f32", "layout": "row-major", "n_items": fs.n_items,
+              "n_tok": fs.n_tok, "d": fs.d, "n_classes": fs.n_classes,
+              "has_labels": fs.labels is not None, "split": fs.split}
+    arrays = [] if fs.labels is None else [fs.labels.astype("<u4")]
+    arrays += [fs.tokens.astype("<f4"), fs.text_embeddings.astype("<f4")]
+    write_container(path, MAGIC, VERSION, header, arrays)
 
 
 _REQUIRED_KEYS = ("dtype", "layout", "n_items", "n_tok", "d", "n_classes", "has_labels", "split")
 
 
-def read_features(path) -> FeatureSet:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 1:
-        raise TruncatedFile(f"{path}: shorter than magic")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise BadMagic(f"{path}: expected {MAGIC!r}")
-    if raw[len(MAGIC)] != VERSION:
-        raise VersionMismatch(f"{path}: version {raw[len(MAGIC)]}, expected {VERSION}")
-    off = len(MAGIC) + 1
-    if len(raw) < off + 4:
-        raise TruncatedFile(f"{path}: missing header length")
-    hlen = int.from_bytes(raw[off : off + 4], "little")
-    off += 4
-    if len(raw) < off + hlen:
-        raise TruncatedFile(f"{path}: header cut short")
-    try:
-        header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderMismatch(f"{path}: unparseable header: {exc}") from exc
-    off += hlen
-    missing = [k for k in _REQUIRED_KEYS if k not in header]
-    if missing:
-        raise HeaderMismatch(f"{path}: header missing keys {missing}")
+def _layout(header: dict):
     if header["dtype"] != "f32" or header["layout"] != "row-major":
-        raise HeaderMismatch(f"{path}: unsupported dtype/layout")
+        raise HeaderMismatch("unsupported dtype/layout")
+    sizes = [header[k] for k in ("n_items", "n_tok", "d", "n_classes")]
+    if not all(type(v) is int and v >= 0 for v in sizes) or type(header["has_labels"]) is not bool:
+        raise HeaderMismatch(f"sizes {sizes} must be nonnegative integers and has_labels "
+                             f"{header['has_labels']!r} a boolean")
+    n_items, n_tok, d, n_cls = sizes
+    labels = [("<u4", (n_items,))] if header["has_labels"] else []
+    return labels + [("<f4", (n_items, n_tok, d)), ("<f4", (n_cls, d))]
 
-    n_items, n_tok, d, n_cls = (int(header[k]) for k in ("n_items", "n_tok", "d", "n_classes"))
-    has_labels = bool(header["has_labels"])
-    expected = (4 * n_items if has_labels else 0) + 4 * n_items * n_tok * d + 4 * n_cls * d
-    payload = raw[off:]
-    if len(payload) != expected:
-        raise HeaderMismatch(
-            f"{path}: payload is {len(payload)} bytes, header declares {expected}"
-        )
 
-    pos = 0
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(payload, dtype="<u4", count=n_items, offset=pos).copy()
-        pos += 4 * n_items
-    tokens = np.frombuffer(payload, dtype="<f4", count=n_items * n_tok * d, offset=pos)
-    tokens = tokens.reshape(n_items, n_tok, d).copy()
-    pos += 4 * n_items * n_tok * d
-    text = np.frombuffer(payload, dtype="<f4", count=n_cls * d, offset=pos)
-    text = text.reshape(n_cls, d).copy()
+def read_features(path) -> FeatureSet:
+    header, arrays = read_container(path, MAGIC, VERSION, _REQUIRED_KEYS, _layout)
+    labels = arrays.pop(0) if header["has_labels"] else None
+    tokens, text = arrays
     return FeatureSet(tokens=tokens, labels=labels, text_embeddings=text,
                       split=str(header["split"]), provenance=str(path))

@@ -43,13 +43,6 @@ class LossBreakdown:
     local: float
     total: float
 
-    def to_dict(self) -> dict:
-        return {
-            "cls": self.cls, "cls_low": self.cls_low, "cls_high": self.cls_high,
-            "reg_text": self.reg_text, "kl_visual": self.kl_visual,
-            "local": self.local, "total": self.total,
-        }
-
 
 # --------------------------------------------------------------------------
 # differentiable building blocks

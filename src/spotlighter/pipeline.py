@@ -21,10 +21,8 @@ the cache-free `reps_fwd`, and a pooled cosine head classifies.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -36,9 +34,10 @@ from .activation import (
     stratify,
 )
 from .config import TIER_MODES, RunConfig
+from .container import read_container, write_container
 from .errors import (
-    BadMagic,
     ConfigError,
+    DataError,
     DimMismatch,
     EmptySelection,
     EmptySplit,
@@ -46,8 +45,6 @@ from .errors import (
     InvalidSpec,
     KOutOfRange,
     NonFiniteLoss,
-    TruncatedFile,
-    VersionMismatch,
     WorkloadTooSmall,
 )
 from .features import FeatureSet, generate_base_novel
@@ -55,6 +52,7 @@ from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, matc
                           momentum_update)
 from .numerics import (
     TransformerBlockParams,
+    block_param_count,
     cosine_matrix,
     finite_difference_errors,
     normalize_rows,
@@ -62,7 +60,7 @@ from .numerics import (
     transformer_block_fwd,
 )
 from .objectives import LossWeights, losses_fwd_bwd, losses_value
-from .representative import FrozenTheta, FusionParams, reps_bwd, reps_fwd
+from .representative import FrozenTheta, FusionParams, reps_bwd, reps_fwd, trainable_param_count
 from .rng import Stream
 
 CKPT_MAGIC = b"SPOTCKPT"
@@ -149,6 +147,9 @@ def make_eval_class_set(state: TrainedState, text_embeddings: np.ndarray,
         raise DimMismatch(
             f"text embeddings have width {text.shape[-1]}, model expects {cfg.d}"
         )
+    if use_trained_bank and len(text) != state.bank.n_classes:
+        raise DimMismatch(f"split has {len(text)} classes, the trained bank "
+                          f"{state.bank.n_classes}")
     matching = init_bank(text, cfg.n_proto, cfg.init_mode, 0.0,
                          seed=Stream(cfg.seed).child(_TAG_EVAL_BANK).seed,
                          beta=cfg.beta)
@@ -651,69 +652,51 @@ def _state_tensors(state: TrainedState):
     return out
 
 
+def _manifest(state: TrainedState) -> list:
+    return [{"name": name, "shape": list(arr.shape)} for name, arr in _state_tensors(state)]
+
+
 def save_state(state: TrainedState, path) -> None:
     """SPOTCKPT container: JSON config/history/manifest + f32 LE payload."""
-    tensors = _state_tensors(state)
-    header = {
-        "config": state.config.to_dict(),
-        "history": state.history,
-        "tensors": [{"name": name, "shape": list(arr.shape)} for name, arr in tensors],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(bytes([CKPT_VERSION]))
-        fh.write(len(blob).to_bytes(4, "little"))
-        fh.write(blob)
-        for _, arr in tensors:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    header = {"config": state.config.to_dict(), "history": state.history,
+              "tensors": _manifest(state)}
+    write_container(path, CKPT_MAGIC, CKPT_VERSION, header,
+                    [arr.astype("<f4") for _, arr in _state_tensors(state)])
+
+
+def _ckpt_layout(header: dict):
+    manifest = header["tensors"]
+    if not isinstance(header["history"], list) or not isinstance(manifest, list) or not all(
+            isinstance(t, dict) and isinstance(t.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in t["shape"]) for t in manifest):
+        raise HeaderMismatch("history must be a list, tensors a list of names and shapes")
+    return [("<f4", t["shape"]) for t in manifest]
 
 
 def load_state(path) -> TrainedState:
-    raw = Path(path).read_bytes()
-    if len(raw) < len(CKPT_MAGIC) + 1:
-        raise TruncatedFile(f"{path}: shorter than magic")
-    if raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise BadMagic(f"{path}: expected {CKPT_MAGIC!r}")
-    if raw[len(CKPT_MAGIC)] != CKPT_VERSION:
-        raise VersionMismatch(f"{path}: version {raw[len(CKPT_MAGIC)]}, expected {CKPT_VERSION}")
-    off = len(CKPT_MAGIC) + 1
-    if len(raw) < off + 4:
-        raise TruncatedFile(f"{path}: missing header length")
-    hlen = int.from_bytes(raw[off : off + 4], "little")
-    off += 4
-    if len(raw) < off + hlen:
-        raise TruncatedFile(f"{path}: header cut short")
-    try:
-        header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HeaderMismatch(f"{path}: unparseable header: {exc}") from exc
-    off += hlen
-
+    """Read a SPOTCKPT file whose manifest lists exactly the tensors its
+    config implies, all finite. The bank keeps the class count it was
+    trained on, the one size the config does not fix."""
+    header, arrays = read_container(path, CKPT_MAGIC, CKPT_VERSION,
+                                    ("config", "history", "tensors"), _ckpt_layout)
     cfg = RunConfig.from_dict(header["config"])
-    manifest = header["tensors"]
-    expected = sum(4 * int(np.prod(t["shape"])) for t in manifest)
-    payload = raw[off:]
-    if len(payload) < expected:
-        raise TruncatedFile(f"{path}: payload is {len(payload)} bytes, manifest needs {expected}")
-    if len(payload) > expected:
-        raise HeaderMismatch(f"{path}: {len(payload) - expected} trailing bytes")
-
-    arrays = {}
-    pos = 0
-    for entry in manifest:
-        count = int(np.prod(entry["shape"]))
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=pos)
-        arrays[entry["name"]] = arr.astype(np.float64).reshape(entry["shape"])
-        pos += 4 * count
-
-    params = FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult,
-                                alpha=cfg.alpha, shared_irm=cfg.share_irm)
-    theta = FrozenTheta.zeros(cfg.d, cfg.heads, cfg.ffn_mult)
-    for name, arr in params.tensors():
-        arr[...] = arrays[name]
-    for name, arr in theta.block.tensors():
-        arr[...] = arrays[f"theta.{name}"]
-    bank = MemoryBank(arrays["bank.prototypes"], beta=cfg.beta, init_mode=cfg.init_mode)
-    return TrainedState(params=params, theta=theta, bank=bank, config=cfg,
-                        history=list(header["history"]))
+    # the payload matches the manifest, so checking the config's entry count
+    # first bounds the blank state below by the file's size
+    n_fixed = (trainable_param_count(cfg.d, cfg.ffn_mult, cfg.share_irm)
+               + block_param_count(cfg.d, cfg.ffn_mult))
+    if not arrays or arrays[-1].ndim != 3 or sum(a.size for a in arrays[:-1]) != n_fixed:
+        raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")
+    state = TrainedState(
+        params=FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult,
+                                  alpha=cfg.alpha, shared_irm=cfg.share_irm),
+        theta=FrozenTheta.zeros(cfg.d, cfg.heads, cfg.ffn_mult),
+        bank=MemoryBank(np.zeros((len(arrays[-1]), cfg.n_proto, cfg.d)),
+                        beta=cfg.beta, init_mode=cfg.init_mode),
+        config=cfg, history=header["history"])
+    if header["tensors"] != _manifest(state):
+        raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")
+    for (name, dst), src in zip(_state_tensors(state), arrays):
+        if not np.isfinite(src).all():
+            raise DataError(f"{path}: tensor {name} has non-finite values")
+        dst[...] = src
+    return state

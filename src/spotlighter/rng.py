@@ -67,10 +67,14 @@ class Stream:
         # u1 in (0, 1] so log never sees zero
         u1 = (self._raw(pairs) >> np.uint64(11)).astype(np.float64) + 1.0
         u1 *= 2.0**-53
-        u2 = self.uniforms(pairs)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        theta = 2.0 * np.pi * self.uniforms(pairs)
+        # in place from here on: the radius overwrites u1, and the cosine and
+        # sine halves land straight in the output
+        r = np.sqrt(np.multiply(np.log(u1, out=u1), -2.0, out=u1), out=u1)
+        z = np.empty(2 * pairs)
+        np.multiply(r, np.cos(theta, out=z[:pairs]), out=z[:pairs])
+        np.multiply(r, np.sin(theta, out=theta), out=z[pairs:])
+        z = z[:n]
         return z.reshape(shape) if shape else z[0]
 
     def integers(self, n: int, bound: int) -> np.ndarray:

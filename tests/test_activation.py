@@ -11,7 +11,7 @@ from spotlighter.activation import (
     semantic_scores,
     stratify,
 )
-from spotlighter.errors import EmptySelection, KOutOfRange
+from spotlighter.errors import DimMismatch, EmptySelection, KOutOfRange
 from spotlighter.numerics import normalize_rows
 
 from .reference_impls import ref_cosine, ref_topk_indices
@@ -39,6 +39,9 @@ def test_sample_scores_match_rowwise_oracle(rng):
     for i in range(3):
         assert np.abs(got[i] - sample_scores(stack[i], texts[i])).max() < 1e-12
         assert np.abs(got[i] - ref_cosine(stack[i], texts[i][None, :])[:, 0]).max() < 1e-10
+    # a text matrix where one row per item is due is a shape error (exit 2)
+    with pytest.raises(DimMismatch):
+        sample_scores(np.ones((3, 4)), np.ones((2, 4)))
 
 
 def test_semantic_score_identity_and_k1(rng):

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 
 from spotlighter.rng import Stream
@@ -59,3 +62,30 @@ def test_integers_in_range():
 def test_permutation_is_permutation():
     p = Stream(4).permutation(100)
     assert np.array_equal(np.sort(p), np.arange(100))
+
+
+# SHA-256 of Stream(1).normals(*shape) bytes, recorded before the in-place
+# Box-Muller rewrite: odd and even counts and the scalar draw
+_PINNED_NORMALS = {
+    (3, 5): "f36d8d3e328f2de4e7a227c132ffa7fdb212e4c59b05ed4c5104e367bb8c3a93",
+    (7,): "956e6c408396cf5d4c967d6ae8bfdeb123e917762c7a2b6103e45403e76410f6",
+    (6, 4): "069c810095c8ec92a4caffcfd0f9983fb339e38f120ebe77ea2282d3454eedc0",
+    (): "9a02f28b34c6a09f95b7c6f1212b3d29d8bc4eb19b75592d9f7aec7f9e43b4c6",
+}
+
+
+def test_normals_pinned_bytes():
+    for shape, digest in _PINNED_NORMALS.items():
+        z = Stream(1).normals(*shape)
+        assert np.shape(z) == shape
+        assert hashlib.sha256(np.asarray(z, dtype=np.float64).tobytes()).hexdigest() == digest
+
+
+def test_normals_peak_memory_bounded():
+    tracemalloc.start()
+    try:
+        z = Stream(1).normals(200, 28, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * z.nbytes
