@@ -22,7 +22,7 @@ from dataclasses import fields
 import numpy as np
 
 from .config import RunConfig, parse_config_file, parse_value
-from .errors import SpotlighterError
+from .errors import ConfigError, SpotlighterError
 from .features import generate_base_novel, read_features, write_features
 from .pipeline import (
     bench_throughput,
@@ -213,7 +213,10 @@ _BENCH_COLUMNS = ("k", "is_full", "items_per_sec", "wallclock_s", "accuracy", "f
 
 def cmd_bench(args) -> int:
     state = load_state(args.checkpoint)
-    k_list = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
+    try:
+        k_list = [int(tok) for tok in args.k_list.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--k-list: {args.k_list!r} is not a list of ints") from exc
     report = bench_throughput(state, n_items=args.items, k_list=k_list,
                               reps=args.reps, warmup=args.warmup)
     print(json.dumps(report.to_dict(), sort_keys=True))

@@ -17,7 +17,6 @@ from .memory_bank import INIT_RANDOM, INIT_TEXT
 from .objectives import LossWeights
 
 TIER_MODES = ("both", "lev1", "lev2")
-_INIT_ALIASES = {"text-seeded": INIT_TEXT, "text": INIT_TEXT, "random": INIT_RANDOM}
 
 
 @dataclass
@@ -40,7 +39,6 @@ class RunConfig:
     k_act: int = 16
     n_proto: int = 5
     bank_sigma: float = 0.05
-    proto_renorm: bool = True
     semantic_on: bool = True
     recalc_on: bool = True
     init_mode: str = INIT_TEXT
@@ -52,7 +50,6 @@ class RunConfig:
     tau: float = 0.01
     heads: int = 4
     ffn_mult: int = 2
-    share_irm: bool = False
     init_scale: float = 0.05
     # objective & optimizer
     lambda1: float = 0.02
@@ -60,19 +57,13 @@ class RunConfig:
     lambda3: float = 0.1
     epochs: int = 30
     lr: float = 0.01
-    sgd_momentum: float = 0.0
 
     def validate(self) -> "RunConfig":
-        if self.init_mode in _INIT_ALIASES:
-            self.init_mode = _INIT_ALIASES[self.init_mode]
+        self.synth_spec().validate()
         checks = [
             (self.seed >= 0, "seed must be nonnegative"),
-            (self.d >= 2, "d must be >= 2"),
             (self.heads >= 1 and self.d % self.heads == 0, "d must be divisible by heads"),
             (self.n_tok >= 1, "n_tok must be >= 1"),
-            (1 <= self.signal_tokens <= self.n_tok, "signal_tokens outside [1, n_tok]"),
-            (self.noise_sigma >= 0, "noise_sigma must be >= 0"),
-            (self.distractor_pool >= 1, "distractor_pool must be >= 1"),
             (self.n_classes >= 2, "n_classes must be >= 2"),
             (self.shots >= 1, "shots must be >= 1"),
             (self.test_per_class >= 1, "test_per_class must be >= 1"),
@@ -87,7 +78,6 @@ class RunConfig:
             (min(self.lambda1, self.lambda2, self.lambda3) >= 0, "lambdas must be >= 0"),
             (self.epochs >= 0, "epochs must be >= 0"),
             (self.lr > 0, "lr must be positive"),
-            (0 <= self.sgd_momentum < 1, "sgd_momentum outside [0, 1)"),
             (self.init_mode in (INIT_TEXT, INIT_RANDOM), f"init_mode {self.init_mode!r}"),
             (self.selection_variant in VARIANTS, f"selection_variant {self.selection_variant!r}"),
             (self.tier_mode in TIER_MODES, f"tier_mode {self.tier_mode!r}"),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import HeaderMismatch, InvalidSpec
+from .errors import DataError, HeaderMismatch, InvalidSpec
 from .rng import Stream
 
 MAGIC = b"SPOT"
@@ -238,5 +238,8 @@ def read_features(path) -> FeatureSet:
     header, arrays = read_container(path, MAGIC, VERSION, _REQUIRED_KEYS, _layout)
     labels = arrays.pop(0) if header["has_labels"] else None
     tokens, text = arrays
-    return FeatureSet(tokens=tokens, labels=labels, text_embeddings=text,
-                      split=str(header["split"]), provenance=str(path))
+    try:
+        return FeatureSet(tokens=tokens, labels=labels, text_embeddings=text,
+                          split=str(header["split"]), provenance=str(path))
+    except InvalidSpec as exc:  # bad file content is a data error, not a usage one
+        raise DataError(f"{path}: {exc}") from exc

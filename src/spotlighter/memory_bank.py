@@ -7,8 +7,8 @@ momentum rule for a touched prototype j of one category is
 
     u_j <- beta * u_j + (1 - beta) * sum_{i in bucket_j} D[i, j] * tok_i
 
-followed (by default) by re-normalization to unit length; prototypes whose
-bucket is empty are left bit-identical, as is the whole bank when beta == 1.
+followed by re-normalization to unit length; prototypes whose bucket is
+empty are left bit-identical, as is the whole bank when beta == 1.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def assign_tokens(tok_act: np.ndarray, class_protos: np.ndarray,
 
 
 def momentum_update(bank: MemoryBank, category: int, assignment: Assignment,
-                    tok_act: np.ndarray, renormalize: bool = True) -> MemoryBank:
+                    tok_act: np.ndarray) -> MemoryBank:
     """Momentum-refresh one category's prototypes; returns a new bank.
 
     Only prototypes with a nonempty bucket move; everything else (including
@@ -136,12 +136,10 @@ def momentum_update(bank: MemoryBank, category: int, assignment: Assignment,
             continue
         pulled = assignment.D[bucket, j] @ tok_act[bucket]
         u = bank.beta * protos[j] + (1.0 - bank.beta) * pulled
-        if renormalize:
-            n = float(np.linalg.norm(u))
-            if n < 1e-12:
-                raise ZeroVector(f"prototype {j} collapsed during update")
-            u = u / n
-        protos[j] = u
+        n = float(np.linalg.norm(u))
+        if n < 1e-12:
+            raise ZeroVector(f"prototype {j} collapsed during update")
+        protos[j] = u / n
     return out
 
 

@@ -64,7 +64,7 @@ from .representative import FrozenTheta, FusionParams, reps_bwd, reps_fwd, train
 from .rng import Stream
 
 CKPT_MAGIC = b"SPOTCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 # items per block-forward pass in predict_batch: a block forward holds every
 # intermediate of its pass while it runs, so the pass size sets the peak memory
@@ -177,8 +177,7 @@ def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     tok_act = X[selected]
 
     assignment = assign_tokens(tok_act, bank.prototypes[label], cfg.tau)
-    bank = momentum_update(bank, label, assignment, tok_act,
-                           renormalize=cfg.proto_renorm)
+    bank = momentum_update(bank, label, assignment, tok_act)
     local = local_loss(bank, tok_act, label, cfg.tau)
 
     tier1, tier2 = stratify(selected, combined, X, bank.prototypes[label],
@@ -198,7 +197,7 @@ def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_mode: s
 
 def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
                 params: FusionParams, theta: FrozenTheta, cfg: RunConfig,
-                weights: LossWeights, velocity: dict | None):
+                weights: LossWeights):
     """One optimizer step; returns (updated bank, LossBreakdown)."""
     bank, tiers, local = _front_end(X, label, bank, text, cfg)
     V_list, R_list, cache = reps_fwd(tiers, bank.prototypes[label], text,
@@ -208,11 +207,7 @@ def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     grads = reps_bwd(cache, dV, dR)
 
     for name, arr in params.tensors():
-        g = grads[name]
-        if velocity is not None:
-            velocity[name] = cfg.sgd_momentum * velocity[name] + g
-            g = velocity[name]
-        arr -= cfg.lr * g
+        arr -= cfg.lr * grads[name]
     return bank, breakdown
 
 
@@ -236,10 +231,8 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
                              ffn_mult=config.ffn_mult, scale=config.init_scale)
     params = FusionParams.init(config.d, config.heads, root.child(_TAG_FUSION),
                                ffn_mult=config.ffn_mult, alpha=config.alpha,
-                               shared_irm=config.share_irm, scale=config.init_scale)
+                               scale=config.init_scale)
     weights = config.loss_weights()
-    velocity = ({name: np.zeros_like(arr) for name, arr in params.tensors()}
-                if config.sgd_momentum > 0 else None)
     shuffle_root = root.child(_TAG_SHUFFLE)
 
     tokens = np.asarray(train_set.tokens, dtype=np.float64)
@@ -252,8 +245,7 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
         sums = dict.fromkeys(keys, 0.0)
         for idx in order:
             bank, breakdown = _train_step(tokens[idx], int(labels[idx]), bank,
-                                          text, params, theta, config, weights,
-                                          velocity)
+                                          text, params, theta, config, weights)
             if not np.isfinite(breakdown.total):
                 raise NonFiniteLoss(f"epoch {epoch}, item {int(idx)}: {breakdown}")
             for key in keys:
@@ -455,8 +447,8 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
     cfg = state.config
     if n_items < 100:
         raise WorkloadTooSmall(f"need >= 100 items, got {n_items}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    if reps < 1 or warmup < 0:
+        raise ConfigError(f"bench needs reps >= 1 and warmup >= 0, got {reps} and {warmup}")
     per_class = -(-n_items // cfg.n_classes)
     _, workload, _ = generate_base_novel(cfg.synth_spec(), 1, per_class)
     ctx = make_eval_class_set(state, workload.text_embeddings, True)
@@ -514,6 +506,10 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
     cfg.validate()
     if cfg.d > 16:
         raise ConfigError(f"gradient check requires d <= 16, got {cfg.d}")
+    if n_seeds < 1:
+        raise ConfigError(f"gradient check needs at least one seed, got {n_seeds}")
+    if not 1e-6 <= eps <= 1e-3:  # NaN fails this too
+        raise ConfigError(f"gradient check eps {eps} outside [1e-6, 1e-3]")
     weights = cfg.loss_weights()
     worst = 0.0
     per_group: dict = {}
@@ -603,7 +599,7 @@ def _fast_objective(params: FusionParams, tiers, protos, text,
         buf[...] = flat
         V_list, R_list = [], []
         for tier_idx, tokens, Z in tier_setup:
-            fused, _ = transformer_block_fwd(protos, tokens, work.irm_for_tier(tier_idx))
+            fused, _ = transformer_block_fwd(protos, tokens, work.irm[tier_idx])
             seq = np.vstack([fused, tokens])
             out, _ = transformer_block_fwd(seq, seq, theta.block)
             V_list.append(out[:K])
@@ -625,8 +621,7 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
     for attempt in range(64):
         stream = case.child(10 + attempt)
         params = FusionParams.init(cfg.d, cfg.heads, stream, ffn_mult=cfg.ffn_mult,
-                                   alpha=cfg.alpha, shared_irm=cfg.share_irm,
-                                   scale=0.1)
+                                   alpha=cfg.alpha, scale=0.1)
         params.trm_b[...] = 0.05 * stream.normals(cfg.d)
         V_list, R_list, _ = reps_fwd(tiers, protos, text, params, theta, cfg.tau,
                                      keep_cache=False)
@@ -657,11 +652,12 @@ def _manifest(state: TrainedState) -> list:
 
 
 def save_state(state: TrainedState, path) -> None:
-    """SPOTCKPT container: JSON config/history/manifest + f32 LE payload."""
+    """SPOTCKPT container: JSON config/history/manifest + f64 LE payload, an
+    exact copy of every tensor."""
     header = {"config": state.config.to_dict(), "history": state.history,
               "tensors": _manifest(state)}
     write_container(path, CKPT_MAGIC, CKPT_VERSION, header,
-                    [arr.astype("<f4") for _, arr in _state_tensors(state)])
+                    [arr.astype("<f8") for _, arr in _state_tensors(state)])
 
 
 def _ckpt_layout(header: dict):
@@ -670,7 +666,7 @@ def _ckpt_layout(header: dict):
             isinstance(t, dict) and isinstance(t.get("shape"), list)
             and all(type(n) is int and n >= 0 for n in t["shape"]) for t in manifest):
         raise HeaderMismatch("history must be a list, tensors a list of names and shapes")
-    return [("<f4", t["shape"]) for t in manifest]
+    return [("<f8", t["shape"]) for t in manifest]
 
 
 def load_state(path) -> TrainedState:
@@ -682,13 +678,11 @@ def load_state(path) -> TrainedState:
     cfg = RunConfig.from_dict(header["config"])
     # the payload matches the manifest, so checking the config's entry count
     # first bounds the blank state below by the file's size
-    n_fixed = (trainable_param_count(cfg.d, cfg.ffn_mult, cfg.share_irm)
-               + block_param_count(cfg.d, cfg.ffn_mult))
+    n_fixed = trainable_param_count(cfg.d, cfg.ffn_mult) + block_param_count(cfg.d, cfg.ffn_mult)
     if not arrays or arrays[-1].ndim != 3 or sum(a.size for a in arrays[:-1]) != n_fixed:
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")
     state = TrainedState(
-        params=FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult,
-                                  alpha=cfg.alpha, shared_irm=cfg.share_irm),
+        params=FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha),
         theta=FrozenTheta.zeros(cfg.d, cfg.heads, cfg.ffn_mult),
         bank=MemoryBank(np.zeros((len(arrays[-1]), cfg.n_proto, cfg.d)),
                         beta=cfg.beta, init_mode=cfg.init_mode),

@@ -40,7 +40,7 @@ from .rng import Stream
 class FusionParams:
     """The only trainable parameters: per-tier IRM blocks plus the TRM linear.
 
-    irm holds one block per tier, or a single shared block. trm_w maps the
+    irm holds one block per tier, irm[t] for tier t. trm_w maps the
     concatenated (text token, aggregate) pair of width 2d back to d.
     """
 
@@ -52,6 +52,8 @@ class FusionParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
+        if len(self.irm) != 2:
+            raise DimMismatch(f"one IRM block per tier is 2 blocks, got {len(self.irm)}")
         d = self.irm[0].d_model
         self.trm_w = np.asarray(self.trm_w, dtype=np.float64)
         self.trm_b = np.asarray(self.trm_b, dtype=np.float64)
@@ -61,12 +63,6 @@ class FusionParams:
     @property
     def d_model(self) -> int:
         return self.irm[0].d_model
-
-    def irm_for_tier(self, tier: int) -> TransformerBlockParams:
-        return self.irm[min(tier, len(self.irm) - 1)]
-
-    def irm_key_for_tier(self, tier: int) -> str:
-        return f"irm{min(tier, len(self.irm) - 1)}"
 
     def tensors(self):
         out = []
@@ -99,21 +95,18 @@ class FusionParams:
 
     @classmethod
     def init(cls, d: int, n_heads: int, stream: Stream, *, ffn_mult: int = 2,
-             alpha: float = 0.2, shared_irm: bool = False,
-             scale: float = 0.05) -> "FusionParams":
-        n_blocks = 1 if shared_irm else 2
+             alpha: float = 0.2, scale: float = 0.05) -> "FusionParams":
         irm = tuple(
             TransformerBlockParams.random(d, n_heads, stream, ffn_mult=ffn_mult, scale=scale)
-            for _ in range(n_blocks)
+            for _ in range(2)
         )
         trm_w = scale / np.sqrt(2 * d) * stream.normals(2 * d, d)
         return cls(irm=irm, trm_w=trm_w, trm_b=np.zeros(d), alpha=alpha)
 
     @classmethod
-    def zeros(cls, d: int, n_heads: int, *, ffn_mult: int = 2, alpha: float = 0.0,
-              shared_irm: bool = False) -> "FusionParams":
-        n_blocks = 1 if shared_irm else 2
-        irm = tuple(TransformerBlockParams.zeros(d, n_heads, ffn_mult) for _ in range(n_blocks))
+    def zeros(cls, d: int, n_heads: int, *, ffn_mult: int = 2,
+              alpha: float = 0.0) -> "FusionParams":
+        irm = tuple(TransformerBlockParams.zeros(d, n_heads, ffn_mult) for _ in range(2))
         return cls(irm=irm, trm_w=np.zeros((2 * d, d)), trm_b=np.zeros(d), alpha=alpha)
 
 
@@ -137,10 +130,9 @@ class FrozenTheta:
         return cls(TransformerBlockParams.zeros(d, n_heads, ffn_mult))
 
 
-def trainable_param_count(d: int, ffn_mult: int = 2, shared_irm: bool = False) -> int:
+def trainable_param_count(d: int, ffn_mult: int = 2) -> int:
     """Analytic count of trainable tensor entries at the configured widths."""
-    n_blocks = 1 if shared_irm else 2
-    return n_blocks * block_param_count(d, ffn_mult) + 2 * d * d + d
+    return 2 * block_param_count(d, ffn_mult) + 2 * d * d + d
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +164,7 @@ def reps_fwd(tiers, class_protos: np.ndarray, text_tokens: np.ndarray,
         tokens = np.asarray(tokens, dtype=np.float64)
         if tokens.shape[-2] == 0:
             continue
-        fused, irm_cache = block(protos, tokens, params.irm_for_tier(tier_idx))
+        fused, irm_cache = block(protos, tokens, params.irm[tier_idx])
         seq = np.concatenate([fused, tokens], axis=-2)
         out, theta_cache = block(seq, seq, theta.block)
         V_list.append(out[..., :K, :])
@@ -182,7 +174,7 @@ def reps_fwd(tiers, class_protos: np.ndarray, text_tokens: np.ndarray,
         Z = np.concatenate([np.broadcast_to(text, agg.shape), agg], axis=-1)
         R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + text)
         if keep_cache:
-            tier_caches.append((params.irm_key_for_tier(tier_idx), irm_cache, theta_cache, Z, K))
+            tier_caches.append((f"irm{tier_idx}", irm_cache, theta_cache, Z, K))
     return V_list, R_list, (params, tier_caches) if keep_cache else None
 
 
@@ -190,7 +182,7 @@ def reps_bwd(cache, dV_list, dR_list) -> dict:
     """Gradients of every trainable tensor given representative gradients.
 
     The frozen block only routes gradients; its tensors are absent from the
-    result. Shared-IRM configurations accumulate both tiers into irm0.
+    result.
     """
     params, tier_caches = cache
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}

@@ -78,8 +78,7 @@ def test_total_loss_gradients_with_reference_weights():
 def _expected_groups(cfg):
     from spotlighter.representative import FusionParams
 
-    params = FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult,
-                                alpha=cfg.alpha, shared_irm=cfg.share_irm)
+    params = FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha)
     return params.tensors()
 
 

@@ -169,7 +169,7 @@ def _set_config(key, value):
     (_rename_tensor, 2, "manifest"),
     (lambda h: h.pop("config"), 2, "missing keys ['config']"),
     (_set_config("d", "16"), 1, "'16' is not a valid int"),
-    (_set_config("share_irm", 1), 1, "1 is not a valid bool"),
+    (_set_config("semantic_on", 1), 1, "1 is not a valid bool"),
     (_set_config("k_act", True), 1, "True is not a valid int"),
     (_set_config("d", 2**40), 2, "manifest"),
     (lambda h: h["tensors"].pop(), 2, "header declares"),
@@ -183,9 +183,33 @@ def test_checkpoint_header_defects(files, tmp_path, edit, code, needle):
 
 
 def test_non_finite_checkpoint_tensor(files, tmp_path):
-    raw = files["checkpoint"][:-4] + struct.pack("<f", float("nan"))
+    raw = files["checkpoint"][:-8] + struct.pack("<d", float("nan"))
     got, err = eval_with(tmp_path, files, checkpoint=raw)
     assert got == DataError.exit_code and "bank.prototypes" in err
+
+
+def test_version_one_checkpoint_rejected(files, tmp_path):
+    raw = files["checkpoint"][:8] + bytes([1]) + files["checkpoint"][9:]
+    got, err = eval_with(tmp_path, files, checkpoint=raw)
+    assert got == 2 and "version 1, expected 2" in err, err
+    assert_clean_exit(got, err)
+
+
+def _set_last_label(raw: bytes, label: int) -> bytes:
+    magic, header, payload = split_file(raw)
+    pos = 4 * (header["n_items"] - 1)
+    return join_file(magic, header,
+                     payload[:pos] + struct.pack("<I", label) + payload[pos + 4:])
+
+
+@pytest.mark.parametrize("corrupt, needle", [
+    (lambda raw: raw[:-4] + struct.pack("<f", float("nan")), "non-finite feature values"),
+    (lambda raw: _set_last_label(raw, 99), "label exceeds class count"),
+])
+def test_feature_content_defects_are_data_errors(files, tmp_path, corrupt, needle):
+    got, err = eval_with(tmp_path, files, base=corrupt(files["base"]))
+    assert got == DataError.exit_code and "base.bin" in err and needle in err, err
+    assert_clean_exit(got, err)
 
 
 @pytest.mark.parametrize("key, value", [("n_items", "x"), ("n_items", -1), ("d", 2.0),
@@ -235,3 +259,25 @@ def test_one_coercion_for_files_flags_and_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("SPOTLIGHTER_SEED", "abc")
     code, err = run_main("gen", "--out-dir", "x")
     assert code == 1 and err.startswith("error: SPOTLIGHTER_SEED")
+
+
+# --- command flags outside the config ----------------------------------------------
+
+@pytest.mark.parametrize("argv, needle", [
+    (["bench", "--reps", "0"], "reps"),
+    (["bench", "--warmup", "-1"], "warmup"),
+    (["bench", "--k-list", "a"], "--k-list"),
+    (["bench", "--k-list", ","], "--k-list"),
+    (["gradcheck", "--eps", "1e-7"], "eps"),
+    (["gradcheck", "--eps", "nan"], "eps"),
+    (["gradcheck", "--seeds", "0"], "seed"),
+    (["gradcheck", "--seeds", "-3"], "seed"),
+])
+def test_command_flags_fail_cleanly(files, tmp_path, argv, needle):
+    if argv[0] == "bench":
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes(files["checkpoint"])
+        argv = argv + ["--checkpoint", ckpt]
+    code, err = run_main(*argv)
+    assert code == 1 and needle in err, err
+    assert_clean_exit(code, err)

@@ -147,9 +147,9 @@ def test_hand_evaluated_update():
     protos[0, 0] = [1.0, 0.0]
     bank = MemoryBank(protos, beta=0.8)
     assignment = Assignment(D=np.array([[1.0]]), hard=np.array([0]))
-    updated = momentum_update(bank, 0, assignment, np.array([[0.0, 1.0]]),
-                              renormalize=False)
-    assert np.allclose(updated.prototypes[0, 0], [0.8, 0.2], atol=1e-15)
+    updated = momentum_update(bank, 0, assignment, np.array([[0.0, 1.0]]))
+    assert np.allclose(updated.prototypes[0, 0], np.array([0.8, 0.2]) / np.sqrt(0.68),
+                       atol=1e-15)
 
 
 def test_beta_zero_single_token_replaces_prototype(rng):
@@ -157,8 +157,8 @@ def test_beta_zero_single_token_replaces_prototype(rng):
     bank = MemoryBank(protos.copy(), beta=0.0)
     tok = rng.normal(size=(1, 4))
     assignment = assign_tokens(tok, bank.prototypes[0], 0.01)
-    updated = momentum_update(bank, 0, assignment, tok, renormalize=False)
-    assert np.allclose(updated.prototypes[0, 0], assignment.D[0, 0] * tok[0], atol=1e-15)
+    updated = momentum_update(bank, 0, assignment, tok)
+    assert np.allclose(updated.prototypes[0, 0], tok[0] / np.linalg.norm(tok[0]), atol=1e-15)
 
 
 def test_empty_bucket_untouched(rng):

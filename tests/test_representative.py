@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from spotlighter.errors import DimMismatch
 from spotlighter.numerics import (
     TransformerBlockParams,
     block_param_count,
@@ -18,9 +20,9 @@ from spotlighter.rng import Stream
 from .reference_impls import ref_transformer_block, ref_trm
 
 
-def rand_params(d=8, heads=2, seed=3, scale=0.3, shared=False, alpha=0.2):
+def rand_params(d=8, heads=2, seed=3, scale=0.3, alpha=0.2):
     return FusionParams.init(d, heads, Stream(seed), ffn_mult=2, alpha=alpha,
-                             shared_irm=shared, scale=scale)
+                             scale=scale)
 
 
 def one_tier(tokens, protos, text, params, theta, temperature=0.01):
@@ -216,25 +218,19 @@ def test_cache_free_forward_equals_cached(rng):
         assert all(np.array_equal(a, b) for a, b in zip(V + R, V_free + R_free))
 
 
-def test_shared_irm_uses_one_block(rng):
-    d = 8
-    params = rand_params(d, shared=True)
-    assert len(params.irm) == 1
-    protos = rng.normal(size=(2, d))
-    text = rng.normal(size=(3, d))
-    tokens = rng.normal(size=(2, d))
-    V, _, _ = reps_fwd([(0, tokens), (1, tokens)], protos, text,
-                       params, FrozenTheta.zeros(d, 2), 0.01)
-    assert np.array_equal(V[0], V[1])
-
-
 # --- parameters -----------------------------------------------------------------
 
 def test_param_count_formula_matches_enumeration():
-    for d, e, shared in [(64, 2, False), (64, 2, True), (16, 1, False), (8, 4, False)]:
-        params = FusionParams.init(d, 4 if d % 4 == 0 else 2, Stream(1),
-                                   ffn_mult=e, shared_irm=shared)
-        assert params.n_params() == trainable_param_count(d, e, shared)
+    for d, e in [(64, 2), (16, 1), (8, 4)]:
+        params = FusionParams.init(d, 4 if d % 4 == 0 else 2, Stream(1), ffn_mult=e)
+        assert params.n_params() == trainable_param_count(d, e)
+
+
+def test_fusion_params_hold_one_irm_block_per_tier():
+    block = TransformerBlockParams.zeros(8, 2, 2)
+    for irm in ((block,), (block, block, block)):
+        with pytest.raises(DimMismatch):
+            FusionParams(irm=irm, trm_w=np.zeros((16, 8)), trm_b=np.zeros(8), alpha=0.2)
 
 
 def test_block_param_count_matches():
