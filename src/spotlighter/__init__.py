@@ -18,7 +18,7 @@ from .numerics import (
     grad_check,
     kl_divergence,
     l2_normalize,
-    softmax,
+    softmax_rows,
 )
 from .objectives import LossBreakdown, LossWeights, total_loss
 from .pipeline import (
@@ -36,6 +36,6 @@ from .pipeline import (
     save_state,
     train,
 )
-from .representative import FrozenTheta, FusionParams, reps_fwd, trainable_param_count
+from .representative import FrozenTheta, FusionParams, reps_fwd, tier_inputs, trainable_param_count
 
 __version__ = "0.1.0"

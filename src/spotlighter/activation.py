@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySelection, KOutOfRange
+from .errors import ConfigError, DimMismatch, EmptySelection, KOutOfRange
 from .numerics import cosine_matrix
 
 VARIANT_TOP = "top-k"
@@ -67,6 +67,17 @@ def select_activated(scores: np.ndarray, k: int, variant: str = VARIANT_TOP) -> 
     if variant == VARIANT_REMOVE_TOP:
         return _order_desc(scores)[k:]
     raise ValueError(f"unknown selection variant {variant!r}")
+
+
+def check_selection(n_tok: int, k: int, variant: str, tier_mode: str) -> None:
+    """Reject a k outside [1, n_tok], or one whose variant keeps no token, or
+    fewer than two under "lev2" (tier 2 holds floor(m/2) of m kept tokens)."""
+    if not 1 <= k <= n_tok:
+        raise KOutOfRange(f"k={k} outside [1, {n_tok}]")
+    kept = n_tok - k if variant == VARIANT_REMOVE_TOP else k
+    if kept < (2 if tier_mode == "lev2" else 1):
+        raise ConfigError(f"{variant} with k={k} of {n_tok} tokens keeps {kept}, "
+                          f"too few for tier mode {tier_mode}")
 
 
 def stratify(selected: np.ndarray, combined: np.ndarray, tokens: np.ndarray,

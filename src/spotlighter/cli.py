@@ -221,18 +221,16 @@ def cmd_bench(args) -> int:
                               reps=args.reps, warmup=args.warmup)
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.csv:
+        rows = list(report.rows)
+        if report.full_row.k not in [r.k for r in rows]:
+            rows.append(report.full_row)
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_BENCH_COLUMNS)
-            for row in report.rows:
+            for row in rows:
                 writer.writerow([row.k, row.k == state.config.n_tok,
                                  f"{row.items_per_sec:.1f}", f"{row.wallclock_s:.6f}",
                                  f"{row.accuracy:.2f}", row.flops])
-            full = report.full_row
-            if full.k not in [r.k for r in report.rows]:
-                writer.writerow([full.k, True, f"{full.items_per_sec:.1f}",
-                                 f"{full.wallclock_s:.6f}", f"{full.accuracy:.2f}",
-                                 full.flops])
     return EXIT_OK
 
 

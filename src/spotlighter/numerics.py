@@ -69,22 +69,12 @@ def cosine_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return normalize_rows(A) @ normalize_rows(B).swapaxes(-1, -2)
 
 
-def softmax(x: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature-scaled softmax of a vector.
+def softmax_rows(X: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Temperature-scaled softmax along the last axis (a vector is one row).
 
     The max is subtracted before the temperature division, so any finite
     input survives even sub-unit temperatures without overflow.
     """
-    if not temperature > 0:
-        raise NonPositiveTemperature(f"temperature {temperature!r}")
-    x = np.asarray(x, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        e = np.exp((x - np.max(x)) / temperature)
-    return e / e.sum()
-
-
-def softmax_rows(X: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise softmax; same stabilization as `softmax`."""
     if not temperature > 0:
         raise NonPositiveTemperature(f"temperature {temperature!r}")
     X = np.asarray(X, dtype=np.float64)

@@ -3,9 +3,11 @@ regularization, pooled visual KL, and the weighted total.
 
 Token sets are pooled to single vectors by mean-then-L2-normalize before any
 similarity; classification logits are cosine over the pooled pair scaled by
-1/tau. `losses_fwd_bwd` evaluates the whole objective for one item and
-returns exact gradients w.r.t. the per-tier visual and text representatives,
-which `representative.reps_bwd` then turns into parameter gradients.
+1/tau. One forward evaluates the whole objective for one item:
+`losses_fwd_bwd` adds exact gradients w.r.t. the per-tier visual and text
+representatives, which `representative.reps_bwd` then turns into parameter
+gradients, and `losses_value` returns the total alone for the gradient
+check's finite-difference probes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, LabelOutOfRange, NonFiniteLoss, NonPositiveTemperature, ZeroVector
+from .numerics import softmax_rows
 
 
 @dataclass
@@ -65,11 +68,6 @@ def _pool_bwd(cache, dv: np.ndarray) -> np.ndarray:
     return np.broadcast_to(dm / M, (M, dm.shape[0])).copy()
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
 def _contrastive_fwd(v_tokens: np.ndarray, class_rows: np.ndarray, label: int, tau: float):
     """CE of the label under cosine logits between pooled sides.
 
@@ -93,7 +91,7 @@ def _contrastive_fwd(v_tokens: np.ndarray, class_rows: np.ndarray, label: int, t
 
 def _contrastive_bwd(cache, scale: float = 1.0):
     v, vcache, nrm, Tp, z, label, tau, R = cache
-    dz = _softmax(z)
+    dz = softmax_rows(z)
     dz[label] -= 1.0
     dz *= scale / tau
     dv = dz @ Tp
@@ -106,8 +104,8 @@ def _contrastive_bwd(cache, scale: float = 1.0):
 def _kl_pooled_fwd(rep_tokens: np.ndarray, ori_tokens: np.ndarray):
     r, rcache = _pool_fwd(rep_tokens)
     o, _ = _pool_fwd(ori_tokens)
-    pr = _softmax(r)
-    po = np.maximum(_softmax(o), 1e-12)
+    pr = softmax_rows(r)
+    po = np.maximum(softmax_rows(o), 1e-12)
     log_ratio = np.log(pr) - np.log(po)
     loss = float((pr * log_ratio).sum())
     return loss, (rcache, pr, log_ratio)
@@ -141,41 +139,13 @@ def total_loss(cls: float, cls_low: float, cls_high: float, reg_text: float,
                          total=float(total))
 
 
-def losses_value(V_list, R_list, local_value: float, label: int,
-                 weights: LossWeights, tiled_text: np.ndarray,
-                 ori_probs: np.ndarray) -> float:
-    """Value-only total loss for repeated probing (finite differences).
-
-    tiled_text is text_ori stacked once per tier; ori_probs is the clamped
-    softmax of the pooled original tokens (both constant across probes).
-    """
-    tau = weights.tau
-    V_all = np.vstack(V_list)
-    class_rows = np.stack(R_list, axis=1)
-    cls, _ = _contrastive_fwd(V_all, class_rows, label, tau)
-    high, _ = _contrastive_fwd(V_list[0], R_list[0][:, None, :], label, tau)
-    low = 0.0
-    if len(V_list) > 1:
-        low, _ = _contrastive_fwd(V_list[1], R_list[1][:, None, :], label, tau)
-    reg = float(np.abs(np.vstack(R_list) - tiled_text).mean())
-    pr = _softmax(_pool_fwd(V_all)[0])
-    kl = float((pr * (np.log(pr) - np.log(ori_probs))).sum())
-    return total_loss(cls, low, high, reg, kl, local_value, weights).total
-
-
 # --------------------------------------------------------------------------
 # fused objective with exact representative gradients
 # --------------------------------------------------------------------------
 
-def losses_fwd_bwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
+def _objective_fwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
                    local_value: float, label: int, weights: LossWeights):
-    """Full objective for one item plus gradients w.r.t. the representatives.
-
-    V_list / R_list hold one (K, d) visual and one (C, d) text representative
-    set per nonempty tier (tier order). Returns (LossBreakdown, dV_list,
-    dR_list); the local loss enters the total as a constant of the trainable
-    parameters.
-    """
+    """The weighted total of one item and the caches its backward needs."""
     text_ori = np.asarray(text_ori, dtype=np.float64)
     n_tiers = len(V_list)
     if n_tiers == 0 or n_tiers != len(R_list):
@@ -188,40 +158,47 @@ def losses_fwd_bwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
     class_rows = np.stack(R_list, axis=1)  # (C, n_tiers, d)
 
     cls, cls_cache = _contrastive_fwd(V_all, class_rows, label, tau)
-    high, high_cache = _contrastive_fwd(V_list[0], R_list[0][:, None, :], label, tau)
-    if n_tiers > 1:
-        low, low_cache = _contrastive_fwd(V_list[1], R_list[1][:, None, :], label, tau)
-    else:
-        low, low_cache = 0.0, None
+    # graded per-tier terms: tier 1 is the high tier, tier 2 (if present) the low
+    tier_terms = [_contrastive_fwd(V, R[:, None, :], label, tau)
+                  for V, R in zip(V_list, R_list)]
+    high, low = tier_terms[0][0], (tier_terms[1][0] if n_tiers > 1 else 0.0)
 
-    R_all = np.vstack(R_list)
-    T_tiled = np.vstack([text_ori] * n_tiers)
-    diff = R_all - T_tiled
+    diff = np.vstack(R_list) - np.vstack([text_ori] * n_tiers)
     reg = float(np.abs(diff).mean())
 
     kl, kl_cache = _kl_pooled_fwd(V_all, all_tokens)
     breakdown = total_loss(cls, low, high, reg, kl, local_value, weights)
+    return breakdown, (cls_cache, tier_terms, diff, kl_cache)
 
-    # ---- backward ----
+
+def losses_value(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
+                 local_value: float, label: int, weights: LossWeights) -> float:
+    """The total loss alone, for repeated probing (finite differences)."""
+    return _objective_fwd(V_list, R_list, text_ori, all_tokens, local_value,
+                          label, weights)[0].total
+
+
+def losses_fwd_bwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
+                   local_value: float, label: int, weights: LossWeights):
+    """Full objective for one item plus gradients w.r.t. the representatives.
+
+    V_list / R_list hold one (K, d) visual and one (C, d) text representative
+    set per nonempty tier (tier order). Returns (LossBreakdown, dV_list,
+    dR_list); the local loss enters the total as a constant of the trainable
+    parameters.
+    """
+    breakdown, (cls_cache, tier_terms, diff, kl_cache) = _objective_fwd(
+        V_list, R_list, text_ori, all_tokens, local_value, label, weights)
+
     dV_all, d_class_rows = _contrastive_bwd(cls_cache)
     dV_all += _kl_pooled_bwd(kl_cache, weights.lambda3)
     dR_sign = weights.lambda2 * np.sign(diff) / diff.size
 
     K = V_list[0].shape[0]
-    C = text_ori.shape[0]
+    C = R_list[0].shape[0]
     dV_list, dR_list = [], []
-    for i in range(n_tiers):
-        dV = dV_all[i * K : (i + 1) * K].copy()
-        dR = d_class_rows[:, i, :] + dR_sign[i * C : (i + 1) * C]
-        dV_list.append(dV)
-        dR_list.append(dR)
-
-    dV_h, dR_h = _contrastive_bwd(high_cache, weights.lambda1)
-    dV_list[0] += dV_h
-    dR_list[0] += dR_h[:, 0, :]
-    if low_cache is not None:
-        dV_l, dR_l = _contrastive_bwd(low_cache, weights.lambda1)
-        dV_list[1] += dV_l
-        dR_list[1] += dR_l[:, 0, :]
-
+    for i, (_, cache) in enumerate(tier_terms):
+        dV_t, dR_t = _contrastive_bwd(cache, weights.lambda1)
+        dV_list.append(dV_all[i * K : (i + 1) * K] + dV_t)
+        dR_list.append(d_class_rows[:, i, :] + dR_sign[i * C : (i + 1) * C] + dR_t[:, 0, :])
     return breakdown, dV_list, dR_list

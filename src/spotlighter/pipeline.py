@@ -4,11 +4,15 @@ harmonic mean, checkpointing, gradient-check harness, parameter accounting,
 and the throughput benchmark.
 
 Training iterates items one at a time through `_front_end` (score -> select
--> momentum-update the bank -> local loss -> stratify), then fuses
-representatives, takes the total loss and an SGD step on the fusion
-parameters only; the gradient check runs the same front end. The frozen
-transformer block, the feature arrays, and the text embeddings are never
-written to.
+-> momentum-update the bank -> local loss -> stratify -> the tiers' TRM
+inputs), then fuses representatives, takes the total loss and an SGD step on
+the fusion parameters only. The frozen transformer block, the feature arrays,
+and the text embeddings are never written to.
+
+The gradient check runs the same front end once per seed, then compares the
+analytic gradient against central differences of the same forward: every
+probe calls the cache-free `reps_fwd` and `losses_value`, which shares its
+forward with `losses_fwd_bwd`, so the check has no copy of the objective.
 
 Inference has one path, `predict_batch`, which walks the items in chunks of
 `_CHUNK`; `predict` is a batch of one. A chunk runs the training stage
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import (
+    check_selection,
     combine_scores,
     sample_scores,
     select_activated,
@@ -39,28 +44,19 @@ from .errors import (
     ConfigError,
     DataError,
     DimMismatch,
-    EmptySelection,
     EmptySplit,
     HeaderMismatch,
     InvalidSpec,
-    KOutOfRange,
     NonFiniteLoss,
     WorkloadTooSmall,
 )
 from .features import FeatureSet, generate_base_novel
 from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, match_class,
                           momentum_update)
-from .numerics import (
-    TransformerBlockParams,
-    block_param_count,
-    cosine_matrix,
-    finite_difference_errors,
-    normalize_rows,
-    softmax_rows,
-    transformer_block_fwd,
-)
+from .numerics import block_param_count, finite_difference_errors, normalize_rows, softmax_rows
 from .objectives import LossWeights, losses_fwd_bwd, losses_value
-from .representative import FrozenTheta, FusionParams, reps_bwd, reps_fwd, trainable_param_count
+from .representative import (FrozenTheta, FusionParams, reps_bwd, reps_fwd, tier_inputs,
+                             trainable_param_count)
 from .rng import Stream
 
 CKPT_MAGIC = b"SPOTCKPT"
@@ -166,14 +162,12 @@ def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     """Score -> select -> momentum-update the bank -> local loss -> stratify.
 
     The non-trainable stage of one labeled item; returns (updated bank,
-    tiers as (tier index, tokens) pairs, local loss).
+    `reps_fwd` tiers, local loss).
     """
     samp = sample_scores(X, text[label])
     sem = semantic_scores(X, bank.prototypes[label]) if cfg.semantic_on else None
     combined = combine_scores(samp, sem, cfg.semantic_on)
     selected = select_activated(combined, cfg.k_act, cfg.selection_variant)
-    if selected.size == 0:
-        raise EmptySelection("selection variant kept no tokens")
     tok_act = X[selected]
 
     assignment = assign_tokens(tok_act, bank.prototypes[label], cfg.tau)
@@ -182,17 +176,16 @@ def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
 
     tier1, tier2 = stratify(selected, combined, X, bank.prototypes[label],
                             cfg.recalc_on)
-    return bank, _tier_list(X, tier1, tier2, "both"), local
+    return bank, _tier_list(X, tier1, tier2, "both", text, cfg.tau), local
 
 
-def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_mode: str):
-    """(tier index, tokens) pairs for `reps_fwd`: every nonempty tier under
-    "both", else the one tier "lev1"/"lev2" names (tier 2 must be nonempty)."""
-    if tier_mode == "lev2" and tier2.shape[-1] == 0:
-        raise EmptySelection("tier 2 is empty under lev2 inference")
-    return [(t, np.take_along_axis(X, idx[..., None], axis=-2))
-            for t, idx in enumerate((tier1, tier2))
-            if idx.shape[-1] and tier_mode in ("both", f"lev{t + 1}")]
+def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_mode: str,
+               text: np.ndarray, tau: float):
+    """`reps_fwd` tiers: every nonempty tier under "both", else the one tier
+    "lev1"/"lev2" names, with its TRM input computed once here."""
+    return tier_inputs([(t, np.take_along_axis(X, idx[..., None], axis=-2))
+                        for t, idx in enumerate((tier1, tier2))
+                        if tier_mode in ("both", f"lev{t + 1}")], text, tau)
 
 
 def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
@@ -200,8 +193,7 @@ def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
                 weights: LossWeights):
     """One optimizer step; returns (updated bank, LossBreakdown)."""
     bank, tiers, local = _front_end(X, label, bank, text, cfg)
-    V_list, R_list, cache = reps_fwd(tiers, bank.prototypes[label], text,
-                                     params, theta, cfg.tau)
+    V_list, R_list, cache = reps_fwd(tiers, bank.prototypes[label], params, theta)
     breakdown, dV, dR = losses_fwd_bwd(V_list, R_list, text, X, local,
                                        label, weights)
     grads = reps_bwd(cache, dV, dR)
@@ -220,8 +212,8 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
         raise InvalidSpec("training split must be labeled")
     if train_set.d != config.d:
         raise DimMismatch(f"config width {config.d} but features have {train_set.d}")
-    if config.k_act > train_set.n_tok:
-        raise ConfigError(f"k_act {config.k_act} exceeds token count {train_set.n_tok}")
+    check_selection(train_set.n_tok, config.k_act, config.selection_variant,
+                    config.tier_mode)
 
     root = Stream(config.seed)
     text = np.asarray(train_set.text_embeddings, dtype=np.float64)
@@ -291,10 +283,9 @@ def predict_batch(tokens: np.ndarray, state: TrainedState,
     X = np.asarray(tokens, dtype=np.float64)
     if X.ndim != 3 or X.shape[2] != cfg.d:
         raise DimMismatch(f"tokens must be (N, n_tok, {cfg.d}), got shape {X.shape}")
-    if not 1 <= k <= X.shape[1]:
-        raise KOutOfRange(f"k={k} outside [1, {X.shape[1]}]")
     if tier_mode not in TIER_MODES:
         raise ConfigError(f"tier_mode {tier_mode!r} not in {TIER_MODES}")
+    check_selection(X.shape[1], k, cfg.selection_variant, tier_mode)
     if len(X) == 0:
         return np.zeros(0, dtype=np.intp), np.zeros((0, len(class_set.text)))
     parts = [_predict_chunk(X[i : i + _CHUNK], state, class_set, k, tier_mode)
@@ -314,8 +305,8 @@ def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
     selected = np.stack([select_activated(row, k, cfg.selection_variant)
                          for row in combined])
     tier1, tier2 = stratify(selected, combined, X, protos, cfg.recalc_on)
-    V, R, _ = reps_fwd(_tier_list(X, tier1, tier2, tier_mode), protos, class_set.text,
-                       state.params, state.theta, cfg.tau, keep_cache=False)
+    V, R, _ = reps_fwd(_tier_list(X, tier1, tier2, tier_mode, class_set.text, cfg.tau),
+                       protos, state.params, state.theta, keep_cache=False)
     v = normalize_rows(np.concatenate(V, axis=1).mean(axis=1))
     Tp = normalize_rows(np.mean(np.stack(R, axis=2), axis=2))
     probs = softmax_rows(np.einsum("ncd,nd->nc", Tp, v), cfg.tau)
@@ -494,9 +485,10 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
     """Finite-difference verification of the full objective's gradients.
 
     For each seed a tiny episode is generated, the non-trainable stage
-    (scores, selection, bank update, tiers) is run once and frozen, and the
-    analytic gradient of the total loss w.r.t. every fusion parameter is
-    compared against central differences. Parameter draws that would place a
+    (scores, selection, bank update, tiers and their TRM inputs) is run once
+    and frozen, and the analytic gradient of the total loss w.r.t. every
+    fusion parameter is compared against central differences of the same
+    forward (`_fast_objective`). Parameter draws that would place a
     text-regularizer entry within finite-difference reach of the absolute-
     value kink (or a pooled norm near zero) are deterministically redrawn,
     since the comparison is undefined at nondifferentiable points. The
@@ -510,6 +502,8 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
         raise ConfigError(f"gradient check needs at least one seed, got {n_seeds}")
     if not 1e-6 <= eps <= 1e-3:  # NaN fails this too
         raise ConfigError(f"gradient check eps {eps} outside [1e-6, 1e-3]")
+    # the check fuses every nonempty tier, as training does
+    check_selection(cfg.n_tok, cfg.k_act, cfg.selection_variant, "both")
     weights = cfg.loss_weights()
     worst = 0.0
     per_group: dict = {}
@@ -534,7 +528,7 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
         params = _draw_kink_safe_params(cfg, case, tiers, protos, text, theta, eps)
 
         x0 = params.flatten()
-        V_list, R_list, cache = reps_fwd(tiers, protos, text, params, theta, cfg.tau)
+        V_list, R_list, cache = reps_fwd(tiers, protos, params, theta)
         _, dV, dR = losses_fwd_bwd(V_list, R_list, text, X, local, label, weights)
         grads = reps_bwd(cache, dV, dR)
         analytic = np.concatenate([grads[name].ravel() for name, _ in params.tensors()])
@@ -542,8 +536,8 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
             analytic = analytic.copy()
             analytic[0] += 1e-2
 
-        objective = _fast_objective(params, tiers, protos, text, theta, cfg,
-                                    weights, X, local, label)
+        objective = _fast_objective(params, tiers, protos, theta, text, X, local,
+                                    label, weights)
         errors = finite_difference_errors(objective, x0, analytic, eps)
         worst = max(worst, float(errors.max()))
         pos = 0
@@ -560,52 +554,18 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
     }
 
 
-def _fast_objective(params: FusionParams, tiers, protos, text,
-                    theta: FrozenTheta, cfg: RunConfig, weights: LossWeights,
-                    X: np.ndarray, local: float, label: int):
-    """Value-only total-loss closure for finite-difference probing.
-
-    The probe parameters back a single flat buffer (loading a probe vector
-    is one copy) and everything constant across probes — the TRM matching
-    inputs, the tiled text, the original-token distribution — is computed
-    once here.
-    """
-    buf = params.flatten()
-    pos = 0
-    views = {}
-    for name, arr in params.tensors():
-        views[name] = buf[pos : pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-    blocks = []
-    for i in range(len(params.irm)):
-        kw = {name: views[f"irm{i}.{name}"] for name in
-              (n for n, _ in params.irm[i].tensors())}
-        blocks.append(TransformerBlockParams(n_heads=params.irm[i].n_heads, **kw))
-    work = FusionParams(irm=tuple(blocks), trm_w=views["trm.w"],
-                        trm_b=views["trm.b"], alpha=params.alpha)
-
-    K = protos.shape[0]
-    tier_setup = []
-    for tier_idx, tokens in tiers:
-        W = softmax_rows(cosine_matrix(text, tokens), cfg.tau)
-        Z = np.hstack([text, W @ tokens])
-        tier_setup.append((tier_idx, tokens, Z))
-    tiled_text = np.vstack([text] * len(tiers))
-    ori_mean = X.mean(axis=0)
-    ori = ori_mean / np.linalg.norm(ori_mean)
-    ori_probs = np.maximum(np.exp(ori - ori.max()) / np.exp(ori - ori.max()).sum(), 1e-12)
+def _fast_objective(params: FusionParams, tiers, protos, theta: FrozenTheta,
+                    text: np.ndarray, X: np.ndarray, local: float, label: int,
+                    weights: LossWeights):
+    """Value-only total-loss closure for finite-difference probing: the
+    training forward, cache-free, on parameters that view one flat buffer
+    (loading a probe vector is one copy)."""
+    buf, work = params.flat_view()
 
     def objective(flat: np.ndarray) -> float:
         buf[...] = flat
-        V_list, R_list = [], []
-        for tier_idx, tokens, Z in tier_setup:
-            fused, _ = transformer_block_fwd(protos, tokens, work.irm[tier_idx])
-            seq = np.vstack([fused, tokens])
-            out, _ = transformer_block_fwd(seq, seq, theta.block)
-            V_list.append(out[:K])
-            R_list.append(work.alpha * (Z @ work.trm_w + work.trm_b) + text)
-        return losses_value(V_list, R_list, local, label, weights,
-                            tiled_text, ori_probs)
+        V_list, R_list, _ = reps_fwd(tiers, protos, work, theta, keep_cache=False)
+        return losses_value(V_list, R_list, text, X, local, label, weights)
 
     return objective
 
@@ -623,8 +583,7 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
         params = FusionParams.init(cfg.d, cfg.heads, stream, ffn_mult=cfg.ffn_mult,
                                    alpha=cfg.alpha, scale=0.1)
         params.trm_b[...] = 0.05 * stream.normals(cfg.d)
-        V_list, R_list, _ = reps_fwd(tiers, protos, text, params, theta, cfg.tau,
-                                     keep_cache=False)
+        V_list, R_list, _ = reps_fwd(tiers, protos, params, theta, keep_cache=False)
         diff_ok = all(np.abs(R - text).min() > margin for R in R_list)
         norms_ok = (
             np.linalg.norm(np.vstack(V_list).mean(axis=0)) > 1e-3

@@ -7,14 +7,17 @@ frozen, seeded transformer block (full self-attention), whose first K output
 rows are the representative visual tokens.
 
 Text side: every class text token attends over the tier tokens with a
-temperature-scaled cosine softmax, the weighted aggregate is concatenated to
-the token, and a single trainable linear layer (shared by both tiers) maps
-the pair back to width d with a residual scaled by alpha.
+temperature-scaled cosine softmax and is concatenated with the weighted
+aggregate. That matching depends on no trainable parameter, so `tier_inputs`
+computes it once per tier set, dropping empty tiers. A single trainable linear
+layer (shared by both tiers) maps the pair back to width d with a residual
+scaled by alpha.
 
-`reps_fwd`/`reps_bwd` run the trainable chain with caches and exact
-gradients; the frozen block propagates gradients but never receives them.
-`reps_fwd` also runs over a leading item axis and, for callers that never
-run a backward pass (batched prediction), without caches.
+`reps_fwd` runs only the work the parameters touch, over an optional leading
+item axis, with backward caches or (batched prediction, finite-difference
+probes) without; `reps_bwd` turns representative gradients into exact
+parameter gradients, and the frozen block routes gradients but never
+receives them.
 """
 
 from __future__ import annotations
@@ -78,20 +81,19 @@ class FusionParams:
     def flatten(self) -> np.ndarray:
         return np.concatenate([a.ravel() for _, a in self.tensors()])
 
-    def load_flat(self, vec: np.ndarray) -> None:
-        """Write a flat vector back into the parameter tensors, wire order."""
-        pos = 0
-        for _, a in self.tensors():
-            a[...] = vec[pos : pos + a.size].reshape(a.shape)
+    def flat_view(self):
+        """(buffer, params): `flatten()` and a FusionParams whose tensors view
+        that buffer, so writing a flat vector into it loads every tensor."""
+        buf = self.flatten()
+        views, pos = {}, 0
+        for name, a in self.tensors():
+            views[name] = buf[pos : pos + a.size].reshape(a.shape)
             pos += a.size
-        if pos != vec.size:
-            raise DimMismatch(f"flat vector has {vec.size} entries, expected {pos}")
-
-    def copy(self) -> "FusionParams":
-        return FusionParams(
-            irm=tuple(b.copy() for b in self.irm),
-            trm_w=self.trm_w.copy(), trm_b=self.trm_b.copy(), alpha=self.alpha,
-        )
+        irm = tuple(TransformerBlockParams(n_heads=b.n_heads, **{
+                        name: views[f"irm{i}.{name}"] for name, _ in b.tensors()})
+                    for i, b in enumerate(self.irm))
+        return buf, FusionParams(irm=irm, trm_w=views["trm.w"], trm_b=views["trm.b"],
+                                 alpha=self.alpha)
 
     @classmethod
     def init(cls, d: int, n_heads: int, stream: Stream, *, ffn_mult: int = 2,
@@ -139,20 +141,34 @@ def trainable_param_count(d: int, ffn_mult: int = 2) -> int:
 # cached forward / exact backward
 # --------------------------------------------------------------------------
 
-def reps_fwd(tiers, class_protos: np.ndarray, text_tokens: np.ndarray,
-             params: FusionParams, theta: FrozenTheta, temperature: float,
-             *, keep_cache: bool = True):
-    """Run IRM -> frozen block -> TRM per tier, keeping backward caches.
+def tier_inputs(tiers, text_tokens: np.ndarray, temperature: float):
+    """(tier index, tokens, Z) per nonempty (tier index, tokens) pair, where
+    Z = [text | softmax(cos(text, tokens) / temperature) @ tokens] is the TRM
+    input; stacked (N, m, d) tokens give an (N, C, 2d) Z."""
+    text = np.asarray(text_tokens, dtype=np.float64)
+    out = []
+    for tier_idx, tokens in tiers:
+        tokens = np.asarray(tokens, dtype=np.float64)
+        if tokens.shape[-2] == 0:
+            continue
+        agg = softmax_rows(cosine_matrix(text, tokens), temperature) @ tokens
+        out.append((tier_idx, tokens,
+                    np.concatenate([np.broadcast_to(text, agg.shape), agg], axis=-1)))
+    return out
+
+
+def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
+             theta: FrozenTheta, *, keep_cache: bool = True):
+    """Run IRM -> frozen block -> TRM per tier of `tier_inputs`.
 
     Returns (V_list, R_list, cache): one (K, d) visual and one (C, d) text
-    representative set per nonempty tier, in tier order. Stacked inputs —
-    (N, m, d) tier tokens and (N, K, d) prototypes, with the (C, d) text
-    shared — give (N, K, d) and (N, C, d) sets. With keep_cache=False the
-    blocks drop their intermediates and the returned cache is None.
+    representative set per tier, in tier order; the text residual is the text
+    half of Z. Stacked inputs — (N, m, d) tier tokens and (N, K, d) prototypes
+    — give (N, K, d) and (N, C, d) sets. With keep_cache=False the blocks drop
+    their intermediates and the returned cache is None.
     """
     protos = np.asarray(class_protos, dtype=np.float64)
-    text = np.asarray(text_tokens, dtype=np.float64)
-    K = protos.shape[-2]
+    K, d = protos.shape[-2:]
 
     def block(Q, KV, p):
         if keep_cache:
@@ -160,19 +176,12 @@ def reps_fwd(tiers, class_protos: np.ndarray, text_tokens: np.ndarray,
         return transformer_block_batch(Q, KV, p), None
 
     V_list, R_list, tier_caches = [], [], []
-    for tier_idx, tokens in tiers:
-        tokens = np.asarray(tokens, dtype=np.float64)
-        if tokens.shape[-2] == 0:
-            continue
+    for tier_idx, tokens, Z in tiers:
         fused, irm_cache = block(protos, tokens, params.irm[tier_idx])
         seq = np.concatenate([fused, tokens], axis=-2)
         out, theta_cache = block(seq, seq, theta.block)
         V_list.append(out[..., :K, :])
-
-        W = softmax_rows(cosine_matrix(text, tokens), temperature)
-        agg = W @ tokens
-        Z = np.concatenate([np.broadcast_to(text, agg.shape), agg], axis=-1)
-        R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + text)
+        R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + Z[..., :d])
         if keep_cache:
             tier_caches.append((f"irm{tier_idx}", irm_cache, theta_cache, Z, K))
     return V_list, R_list, (params, tier_caches) if keep_cache else None
@@ -187,7 +196,7 @@ def reps_bwd(cache, dV_list, dR_list) -> dict:
     params, tier_caches = cache
     grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
     for (irm_key, irm_cache, theta_cache, Z, K), dV, dR in zip(tier_caches, dV_list, dR_list):
-        # text side: W and Z are constants of the trainable set
+        # text side: Z is a constant of the trainable set
         grads["trm.w"] += params.alpha * (Z.T @ dR)
         grads["trm.b"] += params.alpha * dR.sum(axis=0)
         # visual side: route through frozen theta, then the tier's IRM block

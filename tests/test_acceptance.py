@@ -26,7 +26,7 @@ from spotlighter.pipeline import (
     save_state,
     train,
 )
-from spotlighter.representative import FrozenTheta, FusionParams, reps_fwd
+from spotlighter.representative import FrozenTheta, FusionParams, reps_fwd, tier_inputs
 
 from .reference_impls import ref_cosine, ref_topk_indices
 
@@ -123,7 +123,7 @@ def test_criterion_4_residual_identity_and_frozen_bank():
     tiers = [(0, rng.normal(size=(8, d))), (1, rng.normal(size=(8, d)))]
     params = FusionParams.zeros(d, 4, alpha=0.0)
     theta = FrozenTheta.zeros(d, 4)
-    V, R, _ = reps_fwd(tiers, protos, text, params, theta, 0.01)
+    V, R, _ = reps_fwd(tier_inputs(tiers, text, 0.01), protos, params, theta)
     identity_ok = (np.array_equal(np.vstack(V), np.vstack([protos, protos]))
                    and np.array_equal(np.vstack(R), np.vstack([text, text])))
 

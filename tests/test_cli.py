@@ -4,9 +4,11 @@ import os
 
 import pytest
 
+from spotlighter import cli, pipeline
 from spotlighter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from spotlighter.config import RunConfig
 from spotlighter.features import read_features
-from spotlighter.pipeline import harmonic_mean
+from spotlighter.pipeline import BenchRow, ThroughputReport, harmonic_mean
 
 TINY_FLAGS = ["--d", "16", "--n-tok", "8", "--n-classes", "3",
               "--signal-tokens", "2", "--distractor-pool", "6",
@@ -196,6 +198,31 @@ def test_gradcheck_rejects_wide_model(capsys, workdir):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("extra", [["--k-act", "1", "--tier-mode", "lev2"],
+                                   ["--selection-variant", "remove-top-k", "--k-act", "8"]])
+def test_contradictory_selection_fails_before_training(capsys, workdir, monkeypatch, extra):
+    data = gen_tiny(capsys, workdir)
+    steps = []
+    monkeypatch.setattr(pipeline, "_train_step", lambda *args: steps.append(args))
+    code, _, err = run(capsys, "train", *TINY_FLAGS, "--train", str(data / "base-train.spot"),
+                       "--out", "ckpt.spot", *extra)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+    assert steps == [] and not os.path.exists("ckpt.spot")
+
+
+def test_contradictory_selection_fails_in_eval_and_gradcheck(capsys, workdir):
+    data, _ = train_tiny(capsys, workdir, "--k-act", "1")
+    for argv in (["eval", "--checkpoint", "ckpt.spot", "--tier", "lev2",
+                  "--base", str(data / "base-test.spot"),
+                  "--novel", str(data / "novel-test.spot")],
+                 ["gradcheck", "--seeds", "1", "--selection-variant", "remove-top-k",
+                  "--k-act", "8"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, err
+
+
 # --- bench ---------------------------------------------------------------------
 
 def test_bench_rows_and_csv(capsys, workdir):
@@ -212,6 +239,38 @@ def test_bench_rows_and_csv(capsys, workdir):
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "is_full", "items_per_sec", "wallclock_s", "accuracy", "flops"]
     assert len(rows) == 5  # k=8 row doubles as the full reference
+
+
+# the CSV the two-loop writer produced for these reports, byte for byte
+_BENCH_CSV = {
+    "4,8": (b"k,is_full,items_per_sec,wallclock_s,accuracy,flops\r\n"
+            b"4,False,308.6,0.049383,37.33,4000\r\n"
+            b"8,False,154.3,0.098765,41.33,8000\r\n"
+            b"32,True,38.6,0.395062,65.33,32000\r\n"),
+    "4,32": (b"k,is_full,items_per_sec,wallclock_s,accuracy,flops\r\n"
+             b"4,False,308.6,0.049383,37.33,4000\r\n"
+             b"32,True,38.6,0.395062,65.33,32000\r\n"),
+}
+
+
+@pytest.mark.parametrize("k_list", sorted(_BENCH_CSV))
+def test_bench_csv_bytes(capsys, workdir, monkeypatch, k_list):
+    def row(k):
+        return BenchRow(k=k, items_per_sec=1234.5678 / k, wallclock_s=0.0123456789 * k,
+                        accuracy=100.0 / 3 + k, flops=1000 * k, rep_times=[0.1])
+
+    ks = [int(k) for k in k_list.split(",")]
+    rows = [row(k) for k in ks]
+    report = ThroughputReport(rows=rows, full_row=rows[ks.index(32)] if 32 in ks else row(32),
+                              n_items=100, reps=1, trainable_param_count=7, note="")
+    state = pipeline.TrainedState(params=None, theta=None, bank=None,
+                                  config=RunConfig(n_tok=32))
+    monkeypatch.setattr(cli, "load_state", lambda path: state)
+    monkeypatch.setattr(cli, "bench_throughput", lambda *a, **kw: report)
+    code, _, _ = run(capsys, "bench", "--checkpoint", "unused", "--k-list", k_list,
+                     "--csv", "bench.csv")
+    assert code == EXIT_OK
+    assert (workdir / "bench.csv").read_bytes() == _BENCH_CSV[k_list]
 
 
 def test_bench_workload_too_small(capsys, workdir):

@@ -5,6 +5,8 @@ import pytest
 
 from spotlighter.config import RunConfig
 from spotlighter.errors import NonFiniteLoss
+from spotlighter.features import generate_base_novel
+from spotlighter.memory_bank import init_bank
 from spotlighter.numerics import (
     TransformerBlockParams,
     finite_difference_errors,
@@ -12,8 +14,9 @@ from spotlighter.numerics import (
     transformer_block_bwd,
     transformer_block_fwd,
 )
-from spotlighter.objectives import _contrastive_bwd, _contrastive_fwd
-from spotlighter.pipeline import gradcheck_total_loss
+from spotlighter.objectives import _contrastive_bwd, _contrastive_fwd, losses_fwd_bwd
+from spotlighter.pipeline import _fast_objective, _front_end, gradcheck_total_loss
+from spotlighter.representative import FrozenTheta, FusionParams, reps_fwd
 from spotlighter.rng import Stream
 
 
@@ -76,10 +79,30 @@ def test_total_loss_gradients_with_reference_weights():
 
 
 def _expected_groups(cfg):
-    from spotlighter.representative import FusionParams
-
     params = FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha)
     return params.tensors()
+
+
+@pytest.mark.parametrize("k_act, n_tiers", [(4, 2), (1, 1)])
+def test_probe_value_is_the_training_total(k_act, n_tiers):
+    # the finite-difference probe runs the training forward: at the
+    # unperturbed parameters it returns the training total, bit for bit
+    cfg = RunConfig(d=8, n_tok=8, n_classes=3, signal_tokens=2, k_act=k_act,
+                    n_proto=2, heads=2, shots=1, test_per_class=1, epochs=0)
+    train_fs, _, _ = generate_base_novel(cfg.synth_spec(), 1, 1)
+    X, label = train_fs.tokens[0].astype(float), int(train_fs.labels[0])
+    text = train_fs.text_embeddings.astype(float)
+    bank = init_bank(text, cfg.n_proto, cfg.init_mode, cfg.bank_sigma, seed=3)
+    bank, tiers, local = _front_end(X, label, bank, text, cfg)
+    assert len(tiers) == n_tiers
+    protos = bank.prototypes[label]
+    params = FusionParams.init(cfg.d, cfg.heads, Stream(4), alpha=cfg.alpha, scale=0.1)
+    theta = FrozenTheta.init(cfg.d, cfg.heads, Stream(5))
+    V, R, _ = reps_fwd(tiers, protos, params, theta)
+    want = losses_fwd_bwd(V, R, text, X, local, label, cfg.loss_weights())[0].total
+    objective = _fast_objective(params, tiers, protos, theta, text, X, local, label,
+                                cfg.loss_weights())
+    assert objective(params.flatten()) == want
 
 
 def test_gradcheck_detects_corruption():

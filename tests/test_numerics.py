@@ -17,7 +17,7 @@ from spotlighter.numerics import (
     grad_check,
     kl_divergence,
     l2_normalize,
-    softmax,
+    softmax_rows,
     transformer_block_batch,
     transformer_block_fwd,
 )
@@ -85,23 +85,23 @@ def test_cosine_dim_mismatch():
 # --- softmax -----------------------------------------------------------------
 
 def test_softmax_symmetry():
-    assert np.allclose(softmax([2.5, 2.5, 2.5], 0.7), np.full(3, 1 / 3))
+    assert np.allclose(softmax_rows([2.5, 2.5, 2.5], 0.7), np.full(3, 1 / 3))
 
 
 def test_softmax_analytic_quarter():
-    assert np.allclose(softmax([0.0, math.log(3.0)], 1.0), [0.25, 0.75])
+    assert np.allclose(softmax_rows([0.0, math.log(3.0)], 1.0), [0.25, 0.75])
 
 
 def test_softmax_low_temperature_matches_extended_precision(rng):
     x = rng.normal(size=5)
-    got = softmax(x, 0.01)
+    got = softmax_rows(x, 0.01)
     want = ref_softmax_extended(x, 0.01)
     assert np.abs(got - want).max() < 1e-8
 
 
 def test_softmax_temperature_validation():
     with pytest.raises(NonPositiveTemperature):
-        softmax([1.0, 2.0], 0.0)
+        softmax_rows([1.0, 2.0], 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,10 +111,10 @@ def test_softmax_temperature_validation():
 )
 def test_softmax_sums_to_one_and_shift_invariant(values, tau):
     x = np.array(values)
-    p = softmax(x, tau)
+    p = softmax_rows(x, tau)
     assert abs(p.sum() - 1.0) < 1e-9
     assert np.all(p >= 0)
-    q = softmax(x + 7.25, tau)
+    q = softmax_rows(x + 7.25, tau)
     assert np.abs(p - q).max() < 1e-9
 
 
@@ -125,7 +125,7 @@ def test_softmax_sums_to_one_and_shift_invariant(values, tau):
     st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_softmax_survives_any_finite_input(values, tau):
-    p = softmax(np.array(values), tau)
+    p = softmax_rows(np.array(values), tau)
     assert np.all(np.isfinite(p))
     assert abs(p.sum() - 1.0) < 1e-9
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spotlighter.errors import DimMismatch, LabelOutOfRange, NonFiniteLoss
-from spotlighter.numerics import finite_difference_errors, normalize_rows, softmax
+from spotlighter.numerics import finite_difference_errors, normalize_rows, softmax_rows
 from spotlighter.objectives import (
     LossBreakdown,
     LossWeights,
@@ -135,8 +135,8 @@ def test_visual_kl_matches_composed_oracle(rng):
     rep = rng.normal(size=(4, 9))
     ori = rng.normal(size=(6, 9))
     T = rng.normal(size=(3, 9))
-    p = softmax(ref_pool_normalize(rep), 1.0)
-    q = softmax(ref_pool_normalize(ori), 1.0)
+    p = softmax_rows(ref_pool_normalize(rep), 1.0)
+    q = softmax_rows(ref_pool_normalize(ori), 1.0)
     assert abs(parts([rep], [T], T, ori).kl_visual - ref_kl_extended(p, q)) < 1e-9
 
 

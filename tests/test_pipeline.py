@@ -26,7 +26,7 @@ from spotlighter.errors import (
 )
 from spotlighter.features import FeatureSet, generate_base_novel
 from spotlighter.memory_bank import match_class
-from spotlighter.numerics import l2_normalize, normalize_rows, softmax
+from spotlighter.numerics import l2_normalize, normalize_rows, softmax_rows
 from spotlighter.pipeline import (
     _CHUNK,
     _state_tensors,
@@ -42,7 +42,7 @@ from spotlighter.pipeline import (
     split_accuracy,
     train,
 )
-from spotlighter.representative import reps_fwd
+from spotlighter.representative import reps_fwd, tier_inputs
 
 
 # --- harmonic mean ---------------------------------------------------------------
@@ -162,10 +162,11 @@ def composed_predict(X, state, ctx, tier_mode=None):
         tiers = [(1, X[t2])]
     else:
         tiers = [(0, X[t1])] + ([(1, X[t2])] if t2.size else [])
-    V, R, _ = reps_fwd(tiers, protos, ctx.text, state.params, state.theta, cfg.tau)
+    V, R, _ = reps_fwd(tier_inputs(tiers, ctx.text, cfg.tau), protos, state.params,
+                       state.theta)
     v = l2_normalize(np.vstack(V).mean(axis=0))
     Tp = normalize_rows(np.stack(R, axis=1).mean(axis=1))
-    probs = softmax(Tp @ v, cfg.tau)
+    probs = softmax_rows(Tp @ v, cfg.tau)
     return int(np.argmax(probs)), probs
 
 

@@ -13,6 +13,7 @@ from spotlighter.representative import (
     FusionParams,
     reps_bwd,
     reps_fwd,
+    tier_inputs,
     trainable_param_count,
 )
 from spotlighter.rng import Stream
@@ -25,9 +26,14 @@ def rand_params(d=8, heads=2, seed=3, scale=0.3, alpha=0.2):
                              scale=scale)
 
 
+def fwd(tiers, protos, text, params, theta, temperature, **kw):
+    """reps_fwd over (tier index, tokens) pairs, TRM inputs built first."""
+    return reps_fwd(tier_inputs(tiers, text, temperature), protos, params, theta, **kw)
+
+
 def one_tier(tokens, protos, text, params, theta, temperature=0.01):
     """(V, R) of a single tier-0 pass through reps_fwd."""
-    V, R, _ = reps_fwd([(0, tokens)], protos, text, params, theta, temperature)
+    V, R, _ = fwd([(0, tokens)], protos, text, params, theta, temperature)
     return V[0], R[0]
 
 
@@ -127,6 +133,22 @@ def test_trm_match_rows_sum_to_one(rng):
     assert np.abs((R - text)[:, 0] - 1.0).max() < 1e-9
 
 
+def test_tier_inputs_match_reference_matching(rng):
+    # with trm_w = [0; I], zero bias and alpha = 1 the loop oracle returns
+    # text + aggregate, so its matching aggregate is that minus the text
+    d = 8
+    text = rng.normal(size=(4, d))
+    tiers = [(0, rng.normal(size=(6, d))), (1, rng.normal(size=(3, d)))]
+    pick_agg = np.vstack([np.zeros((d, d)), np.eye(d)])
+    got = tier_inputs(tiers, text, 0.05)
+    assert [t for t, _, _ in got] == [0, 1]
+    for (t, tokens), (t_got, tokens_got, Z) in zip(tiers, got):
+        assert t_got == t and np.array_equal(tokens_got, tokens)
+        assert Z.shape == (4, 2 * d) and np.array_equal(Z[:, :d], text)
+        want = ref_trm(text, tokens, pick_agg, np.zeros(d), 1.0, 0.05) - text
+        assert np.abs(Z[:, d:] - want).max() < 1e-12
+
+
 # --- the full chain over both tiers ------------------------------------------------
 
 def test_build_zero_params_residual_chain(rng):
@@ -137,7 +159,7 @@ def test_build_zero_params_residual_chain(rng):
     t2 = rng.normal(size=(2, d))
     params = FusionParams.zeros(d, 2, alpha=0.0)
     theta = FrozenTheta.zeros(d, 2)
-    V, R, _ = reps_fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.01)
+    V, R, _ = fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.01)
     assert np.array_equal(np.vstack(V), np.vstack([protos, protos]))
     assert np.array_equal(np.vstack(R), np.vstack([text, text]))
 
@@ -149,9 +171,12 @@ def test_build_empty_tier_is_tier1_only(rng):
     t1 = rng.normal(size=(2, d))
     params = rand_params(d)
     theta = FrozenTheta.init(d, 2, Stream(8))
-    V_a, R_a, _ = reps_fwd([(0, t1), (1, np.zeros((0, d)))], protos,
-                           text, params, theta, 0.01)
-    V_b, R_b, _ = reps_fwd([(0, t1)], protos, text, params, theta, 0.01)
+    tiers_a = tier_inputs([(0, t1), (1, np.zeros((0, d)))], text, 0.01)
+    tiers_b = tier_inputs([(0, t1)], text, 0.01)
+    assert [t for t, _, _ in tiers_a] == [0]
+    assert all(np.array_equal(a, b) for a, b in zip(tiers_a[0], tiers_b[0]))
+    V_a, R_a, _ = reps_fwd(tiers_a, protos, params, theta)
+    V_b, R_b, _ = reps_fwd(tiers_b, protos, params, theta)
     assert len(V_a) == len(R_a) == 1
     assert np.array_equal(V_a[0], V_b[0])
     assert np.array_equal(R_a[0], R_b[0])
@@ -166,7 +191,7 @@ def test_build_matches_composed_oracle(rng):
     t2 = rng.normal(size=(2, d))
     params = rand_params(d, seed=10)
     theta = FrozenTheta.init(d, 2, Stream(11), scale=0.4)
-    V, R, _ = reps_fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
+    V, R, _ = fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
     V, R = np.vstack(V), np.vstack(R)
     assert V.shape == (10, d) and R.shape == (8, d)
     parts_v, parts_r = [], []
@@ -187,10 +212,10 @@ def test_stacked_items_match_single_calls_and_oracle(rng):
     t1, t2 = rng.normal(size=(N, 3, d)), rng.normal(size=(N, 2, d))
     params = rand_params(d, seed=12)
     theta = FrozenTheta.init(d, 2, Stream(13), scale=0.4)
-    V, R, _ = reps_fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
+    V, R, _ = fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
     assert [v.shape for v in V] == [(N, 5, d)] * 2 and [r.shape for r in R] == [(N, 4, d)] * 2
     for i in range(N):
-        V_i, R_i, _ = reps_fwd([(0, t1[i]), (1, t2[i])], protos[i], text, params, theta, 0.05)
+        V_i, R_i, _ = fwd([(0, t1[i]), (1, t2[i])], protos[i], text, params, theta, 0.05)
         for tier, tokens in ((0, t1[i]), (1, t2[i])):
             assert np.abs(V[tier][i] - V_i[tier]).max() < 1e-12
             assert np.abs(R[tier][i] - R_i[tier]).max() < 1e-12
@@ -211,9 +236,9 @@ def test_cache_free_forward_equals_cached(rng):
         (rng.normal(size=(5, d)), [(0, rng.normal(size=(3, d))), (1, rng.normal(size=(2, d)))]),
         (rng.normal(size=(2, 5, d)), [(0, rng.normal(size=(2, 3, d)))]),
     ):
-        V, R, cache = reps_fwd(tiers, protos, text, params, theta, 0.05)
-        V_free, R_free, no_cache = reps_fwd(tiers, protos, text, params, theta, 0.05,
-                                            keep_cache=False)
+        V, R, cache = fwd(tiers, protos, text, params, theta, 0.05)
+        V_free, R_free, no_cache = fwd(tiers, protos, text, params, theta, 0.05,
+                                       keep_cache=False)
         assert cache is not None and no_cache is None
         assert all(np.array_equal(a, b) for a, b in zip(V + R, V_free + R_free))
 
@@ -242,19 +267,22 @@ def test_block_param_count_matches():
 def test_flatten_roundtrip(rng):
     params = rand_params()
     flat = params.flatten()
-    other = rand_params(seed=99)
-    other.load_flat(flat)
+    source = rand_params(seed=99)
+    buf, other = source.flat_view()
+    assert np.array_equal(buf, source.flatten())
+    buf[...] = flat  # other's tensors view buf
     assert np.array_equal(other.flatten(), flat)
     for (na, a), (nb, b) in zip(params.tensors(), other.tensors()):
         assert na == nb
         assert np.array_equal(a, b)
+    assert np.array_equal(source.flatten(), rand_params(seed=99).flatten())  # buf is a copy
 
 
 def test_theta_bytes_stable_under_reads(rng):
     theta = FrozenTheta.init(8, 2, Stream(12))
     before = theta.to_bytes()
-    reps_fwd([(0, rng.normal(size=(3, 8)))], rng.normal(size=(2, 8)),
-             rng.normal(size=(4, 8)), rand_params(), theta, 0.01)
+    fwd([(0, rng.normal(size=(3, 8)))], rng.normal(size=(2, 8)),
+        rng.normal(size=(4, 8)), rand_params(), theta, 0.01)
     assert theta.to_bytes() == before
 
 
@@ -266,20 +294,22 @@ def test_reps_bwd_matches_finite_differences(rng):
     d = 8
     protos = rng.normal(size=(3, d))
     text = rng.normal(size=(3, d))
-    tiers = [(0, rng.normal(size=(2, d))), (1, rng.normal(size=(2, d)))]
+    tiers = tier_inputs([(0, rng.normal(size=(2, d))), (1, rng.normal(size=(2, d)))],
+                        text, 0.05)
     params = rand_params(d, seed=20)
     theta = FrozenTheta.init(d, 2, Stream(21), scale=0.3)
     WV = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
     WR = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
 
+    buf, work = rand_params(d, seed=20).flat_view()
+
     def objective(flat):
-        work = rand_params(d, seed=20)
-        work.load_flat(flat)
-        V, R, _ = reps_fwd(tiers, protos, text, work, theta, 0.05)
+        buf[...] = flat
+        V, R, _ = reps_fwd(tiers, protos, work, theta)
         return float(sum((v * w).sum() for v, w in zip(V, WV))
                      + sum((r * w).sum() for r, w in zip(R, WR)))
 
-    V, R, cache = reps_fwd(tiers, protos, text, params, theta, 0.05)
+    V, R, cache = reps_fwd(tiers, protos, params, theta)
     grads = reps_bwd(cache, WV, WR)
     analytic = np.concatenate([grads[name].ravel() for name, _ in params.tensors()])
     errs = finite_difference_errors(objective, params.flatten(), analytic, 1e-5)
