@@ -150,40 +150,67 @@ _ABLATION_COLUMNS = (
 )
 
 
-def cmd_ablate(args) -> int:
-    base_cfg = _build_config(args)
-    base_train, base_test, novel_test = generate_base_novel(
-        base_cfg.synth_spec(), base_cfg.shots, base_cfg.test_per_class
-    )
-    names = list(_ABLATION_GRID)
-    cells = list(itertools.product(*(_ABLATION_GRID[n] for n in names)))
-    rows = []
-    for i, values in enumerate(cells):
-        overrides = dict(zip(names, values))
-        row = {k: str(v) for k, v in overrides.items()}
+def _failed(exc: Exception) -> dict:
+    return dict(base_acc="", novel_acc="", harmonic_mean="", items_per_sec="",
+                status=f"error:{type(exc).__name__}")
+
+
+def _tier_rows(base_cfg: RunConfig, cell: dict, base_train, base_test, novel_test) -> list:
+    """The result columns of one training cell under each tier mode.
+
+    Training never reads the tier mode: the parameters and the bank come out
+    the same under all three, so one training serves the cell's three rows.
+    It runs under "both", whose selection bound is the weakest; a tier mode
+    that needs more kept tokens still fails, in `predict_batch`, with the
+    same ConfigError a training under that mode would raise.
+    """
+    try:
+        state = train(base_cfg.with_overrides(**cell, tier_mode="both"), base_train)
+    except Exception as exc:  # the cell's three rows share the failure
+        return [_failed(exc)] * len(_ABLATION_GRID["tier_mode"])
+    out = []
+    for tier_mode in _ABLATION_GRID["tier_mode"]:
         try:
-            cfg = base_cfg.with_overrides(**overrides)
-            state = train(cfg, base_train)
-            metrics = evaluate(state, base_test, novel_test, tier_mode=cfg.tier_mode)
+            metrics = evaluate(state, base_test, novel_test, tier_mode=tier_mode)
             ctx = make_eval_class_set(state, base_test.text_embeddings, True)
             times = []
             for _ in range(3):
                 t0 = time.perf_counter()
-                predict_batch(base_test.tokens, state, ctx, tier_mode=cfg.tier_mode)
+                predict_batch(base_test.tokens, state, ctx, tier_mode=tier_mode)
                 times.append(time.perf_counter() - t0)
-            row.update(
+            out.append(dict(
                 base_acc=f"{metrics.base_acc:.2f}",
                 novel_acc=f"{metrics.novel_acc:.2f}",
                 harmonic_mean=f"{metrics.harmonic:.2f}",
                 items_per_sec=f"{base_test.n_items / float(np.median(times)):.1f}",
                 status="ok",
-            )
+            ))
         except Exception as exc:  # record the failure, keep sweeping
-            row.update(base_acc="", novel_acc="", harmonic_mean="",
-                       items_per_sec="", status=f"error:{type(exc).__name__}")
-        rows.append(row)
-        print(f"[{i + 1}/{len(cells)}] {row['status']} "
-              + " ".join(f"{k}={row[k]}" for k in names), file=sys.stderr)
+            out.append(_failed(exc))
+    return out
+
+
+def cmd_ablate(args) -> int:
+    base_cfg = _build_config(args)
+    base_train, base_test, novel_test = generate_base_novel(
+        base_cfg.synth_spec(), base_cfg.shots, base_cfg.test_per_class
+    )
+    # 24 trainings, each evaluated under the three tier modes (_tier_rows,
+    # whose return frees its state before the next training); tier_mode is
+    # the grid's last axis, so the rows keep the product order
+    names = list(_ABLATION_GRID)[:-1]
+    cells = list(itertools.product(*(_ABLATION_GRID[n] for n in names)))
+    n_rows = len(cells) * len(_ABLATION_GRID["tier_mode"])
+    rows = []
+    for values in cells:
+        cell = dict(zip(names, values))
+        results = _tier_rows(base_cfg, cell, base_train, base_test, novel_test)
+        for tier_mode, result in zip(_ABLATION_GRID["tier_mode"], results):
+            row = {k: str(v) for k, v in cell.items()}
+            row.update(tier_mode=tier_mode, **result)
+            rows.append(row)
+            print(f"[{len(rows)}/{n_rows}] {row['status']} "
+                  + " ".join(f"{k}={row[k]}" for k in _ABLATION_GRID), file=sys.stderr)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_ABLATION_COLUMNS)
@@ -222,7 +249,7 @@ def cmd_bench(args) -> int:
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.csv:
         rows = list(report.rows)
-        if report.full_row.k not in [r.k for r in rows]:
+        if report.full_row and report.full_row.k not in [r.k for r in rows]:
             rows.append(report.full_row)
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import (
+    VARIANT_REMOVE_TOP,
     check_selection,
     combine_scores,
     sample_scores,
@@ -370,7 +371,7 @@ class BenchRow:
 @dataclass
 class ThroughputReport:
     rows: list
-    full_row: BenchRow
+    full_row: BenchRow | None
     n_items: int
     reps: int
     trainable_param_count: int
@@ -385,7 +386,7 @@ class ThroughputReport:
     def to_dict(self) -> dict:
         return {
             "rows": [r.to_dict() for r in self.rows],
-            "full_token": self.full_row.to_dict(),
+            "full_token": self.full_row.to_dict() if self.full_row else None,
             "n_items": self.n_items, "reps": self.reps,
             "trainable_param_count": self.trainable_param_count,
             "note": self.note,
@@ -430,7 +431,8 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
 
 def bench_throughput(state: TrainedState, n_items: int, k_list,
                      reps: int = 5, warmup: int = 1) -> ThroughputReport:
-    """Median items/second per k, plus the full-token reference.
+    """Median items/second per k, plus the full-token reference (None for
+    remove-top-k, which cannot keep every token).
 
     The workload is a fresh synthetic split over the training classes;
     generation happens before any clock starts.
@@ -469,7 +471,10 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
         )
 
     rows = [measure(k) for k in ks]
-    full = measure(cfg.n_tok) if cfg.n_tok not in ks else rows[ks.index(cfg.n_tok)]
+    if cfg.selection_variant == VARIANT_REMOVE_TOP:  # keeps no token at k = n_tok
+        full = None
+    else:
+        full = measure(cfg.n_tok) if cfg.n_tok not in ks else rows[ks.index(cfg.n_tok)]
     note = ("trainable_param_count is the exact number of trainable tensor "
             "entries at the configured widths")
     return ThroughputReport(rows=rows, full_row=full, n_items=actual, reps=reps,
@@ -525,10 +530,9 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
                                  ffn_mult=cfg.ffn_mult, scale=cfg.init_scale)
         protos = bank.prototypes[label]
 
-        params = _draw_kink_safe_params(cfg, case, tiers, protos, text, theta, eps)
-
+        params, V_list, R_list, cache = _draw_kink_safe_params(cfg, case, tiers, protos,
+                                                               text, theta, eps)
         x0 = params.flatten()
-        V_list, R_list, cache = reps_fwd(tiers, protos, params, theta)
         _, dV, dR = losses_fwd_bwd(V_list, R_list, text, X, local, label, weights)
         grads = reps_bwd(cache, dV, dR)
         analytic = np.concatenate([grads[name].ravel() for name, _ in params.tensors()])
@@ -571,11 +575,13 @@ def _fast_objective(params: FusionParams, tiers, protos, theta: FrozenTheta,
 
 
 def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
-                           theta: FrozenTheta, eps: float) -> FusionParams:
+                           theta: FrozenTheta, eps: float):
     """Sample fusion parameters whose neighborhood is differentiable.
 
     Redraws (deterministically) while any |rep - text| entry sits within a
-    safety margin of zero or any pooled representative norm is tiny.
+    safety margin of zero or any pooled representative norm is tiny. Returns
+    the accepted draw with its `reps_fwd` output: (params, V_list, R_list,
+    cache).
     """
     margin = 50.0 * eps
     for attempt in range(64):
@@ -583,7 +589,7 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
         params = FusionParams.init(cfg.d, cfg.heads, stream, ffn_mult=cfg.ffn_mult,
                                    alpha=cfg.alpha, scale=0.1)
         params.trm_b[...] = 0.05 * stream.normals(cfg.d)
-        V_list, R_list, _ = reps_fwd(tiers, protos, params, theta, keep_cache=False)
+        V_list, R_list, cache = reps_fwd(tiers, protos, params, theta)
         diff_ok = all(np.abs(R - text).min() > margin for R in R_list)
         norms_ok = (
             np.linalg.norm(np.vstack(V_list).mean(axis=0)) > 1e-3
@@ -591,7 +597,7 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
             and all(np.linalg.norm(R.mean(axis=0)) > 1e-3 for R in R_list)
         )
         if diff_ok and norms_ok:
-            return params
+            return params, V_list, R_list, cache
     raise NonFiniteLoss("could not find a kink-safe parameter draw")
 
 

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 from spotlighter import cli, pipeline
 from spotlighter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from spotlighter.config import RunConfig
-from spotlighter.features import read_features
+from spotlighter.features import generate_base_novel, read_features
 from spotlighter.pipeline import BenchRow, ThroughputReport, harmonic_mean
 
 TINY_FLAGS = ["--d", "16", "--n-tok", "8", "--n-classes", "3",
@@ -273,6 +274,19 @@ def test_bench_csv_bytes(capsys, workdir, monkeypatch, k_list):
     assert (workdir / "bench.csv").read_bytes() == _BENCH_CSV[k_list]
 
 
+def test_bench_runs_on_a_remove_top_k_checkpoint(capsys, workdir):
+    # remove-top-k keeps no token at k = n_tok, so there is no full-token row
+    train_tiny(capsys, workdir, "--selection-variant", "remove-top-k", "--epochs", "1")
+    code, out, err = run(capsys, "bench", "--checkpoint", "ckpt.spot", "--items", "102",
+                         "--reps", "1", "--k-list", "4", "--csv", "bench.csv")
+    assert code == EXIT_OK, err
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert [r["k"] for r in payload["rows"]] == [4]
+    assert payload["full_token"] is None
+    with open("bench.csv") as fh:
+        assert [row[:2] for row in csv.reader(fh)] == [["k", "is_full"], ["4", "False"]]
+
+
 def test_bench_workload_too_small(capsys, workdir):
     _, _ = train_tiny(capsys, workdir)
     code, _, _ = run(capsys, "bench", "--checkpoint", "ckpt.spot",
@@ -298,6 +312,56 @@ def test_ablate_grid_and_csv(capsys, workdir):
     combos = {(r["semantic_on"], r["init_mode"], r["recalc_on"],
                r["selection_variant"], r["tier_mode"]) for r in rows}
     assert len(combos) == 72
+
+
+def _ablation_reference(argv):
+    """The sweep's stable columns, one training and evaluation per cell."""
+    cfg = cli._build_config(cli._build_parser().parse_args(argv))
+    base_train, base_test, novel_test = generate_base_novel(cfg.synth_spec(), cfg.shots,
+                                                            cfg.test_per_class)
+    rows = []
+    for values in itertools.product(*cli._ABLATION_GRID.values()):
+        cell = dict(zip(cli._ABLATION_GRID, values))
+        row = {k: str(v) for k, v in cell.items()}
+        try:
+            m = pipeline.evaluate(pipeline.train(cfg.with_overrides(**cell), base_train),
+                                  base_test, novel_test, tier_mode=cell["tier_mode"])
+            row.update(base_acc=f"{m.base_acc:.2f}", novel_acc=f"{m.novel_acc:.2f}",
+                       harmonic_mean=f"{m.harmonic:.2f}", status="ok")
+        except Exception as exc:
+            row.update(base_acc="", novel_acc="", harmonic_mean="",
+                       status=f"error:{type(exc).__name__}")
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("extra", [[], ["--tier-mode", "lev2", "--k-act", "1"]])
+def test_ablate_trains_once_per_cell_and_matches_per_cell_training(capsys, workdir,
+                                                                   monkeypatch, extra):
+    argv = ["ablate", *TINY_FLAGS, "--epochs", "1", *extra, "--out", "sweep.csv"]
+    trainings = []
+
+    def counting_train(*args, **kwargs):
+        trainings.append(args[0])
+        return pipeline.train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", counting_train)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(trainings) == 24 and all(cfg.tier_mode == "both" for cfg in trainings)
+    with open("sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    stable = [{k: v for k, v in r.items() if k != "items_per_sec"} for r in rows]
+    assert stable == _ablation_reference(argv)
+    lines = err.strip().splitlines()
+    assert [line.split()[0] for line in lines] == [f"[{i}/72]" for i in range(1, 73)]
+    failed = [r for r in rows if r["status"] != "ok"]
+    if extra:  # lev2 needs two kept tokens; k=1 top-k and bottom-k keep one
+        assert len(failed) == 16
+        assert all(r["tier_mode"] == "lev2" and r["status"] == "error:ConfigError"
+                   for r in failed)
+    else:
+        assert failed == []
 
 
 # --- usage ---------------------------------------------------------------------

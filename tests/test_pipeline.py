@@ -121,6 +121,19 @@ def test_determinism_identical_states(tiny_config, tiny_episode, tmp_path):
     assert ma.to_dict() == mb.to_dict()
 
 
+def test_trained_state_does_not_depend_on_tier_mode(tiny_config, tiny_episode):
+    # the ablation sweep trains once per cell and evaluates that state under
+    # every tier mode, which is right only while this holds
+    base_train, _, _ = tiny_episode
+    ref, *others = (train(tiny_config.with_overrides(tier_mode=mode), base_train)
+                    for mode in ("both", "lev1", "lev2"))
+    for state in others:
+        for (name, a), (name_b, b) in zip(ref.params.tensors(), state.params.tensors()):
+            assert name == name_b and a.tobytes() == b.tobytes(), name
+        assert state.theta.to_bytes() == ref.theta.to_bytes()
+        assert state.bank.prototypes.tobytes() == ref.bank.prototypes.tobytes()
+
+
 # --- prediction -----------------------------------------------------------------
 
 def test_predict_separable_item(tiny_config):
