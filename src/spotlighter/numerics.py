@@ -6,9 +6,18 @@ Everything is float64 and pure-numpy. The block has one forward pass:
 
 * ``transformer_block_fwd``   forward over any leading axes, returning a cache
                               for the backward pass
-* ``transformer_block_bwd``   exact gradients w.r.t. inputs and every tensor
+* ``transformer_block_bwd``   exact gradients w.r.t. inputs and, unless asked
+                              not to, every tensor
 * ``transformer_block_batch`` the same forward with the cache dropped
                               (inference)
+
+Block weights may carry leading axes of their own, which broadcast against
+the inputs' leading axes as numpy aligns them (from the right): weights
+stacked on an axis of length T serve inputs whose last leading axis has
+length T, so one call runs several blocks (the two IRM blocks of one item)
+side by side; weights without leading axes serve every input. The backward
+takes the row axis as its only sum: stacked weights get one gradient per
+weight set.
 
 The backward pass is hand-derived (layer norm included in full, not the
 diagonal approximation); ``grad_check`` is the verification harness used by
@@ -120,9 +129,11 @@ def layer_norm_fwd(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 
 def layer_norm_bwd(cache, dy: np.ndarray):
+    """(dx, dg, db); dg and db sum over the row axis only, so leading axes
+    keep one scale and shift gradient each."""
     xhat, inv, g = cache
-    dg = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, xhat.shape[-1]).sum(axis=0)
+    dg = (dy * xhat).sum(axis=-2)
+    db = dy.sum(axis=-2)
     dxhat = dy * g
     dx = inv * (
         dxhat
@@ -149,7 +160,9 @@ class TransformerBlockParams:
 
     Projection matrices are stored combined over heads ((d, d) each); head h
     owns columns [h*dh, (h+1)*dh). ln1 normalizes both the query and the
-    key/value inputs; ln2 precedes the FFN.
+    key/value inputs; ln2 precedes the FFN. Every tensor may carry the same
+    leading axes, which stack several blocks of one shape; indexing them
+    (`p[t]`) gives views of one block's weights.
     """
 
     wq: np.ndarray
@@ -171,19 +184,31 @@ class TransformerBlockParams:
     n_heads: int
 
     def __post_init__(self):
-        d = self.wq.shape[0]
+        lead, d = self.wq.shape[:-2], self.wq.shape[-1]
         if d % self.n_heads != 0:
             raise DimMismatch(f"width {d} not divisible by {self.n_heads} heads")
         for name in ("wq", "wk", "wv", "wo"):
-            if getattr(self, name).shape != (d, d):
-                raise DimMismatch(f"{name} must be ({d}, {d})")
-        hidden = self.w1.shape[1]
-        if self.w1.shape != (d, hidden) or self.w2.shape != (hidden, d):
+            if getattr(self, name).shape != (*lead, d, d):
+                raise DimMismatch(f"{name} must be {(*lead, d, d)}")
+        hidden = self.w1.shape[-1]
+        if self.w1.shape != (*lead, d, hidden) or self.w2.shape != (*lead, hidden, d):
             raise DimMismatch("FFN weight shapes inconsistent")
 
     @property
     def d_model(self) -> int:
-        return self.wq.shape[0]
+        return self.wq.shape[-1]
+
+    def __getitem__(self, index) -> "TransformerBlockParams":
+        """The weight sets at `index` of the leading axes, as views."""
+        return TransformerBlockParams(n_heads=self.n_heads,
+                                      **{name: a[index] for name, a in self.tensors()})
+
+    @classmethod
+    def stack(cls, blocks) -> "TransformerBlockParams":
+        """Blocks of one shape stacked on a new leading axis."""
+        return cls(n_heads=blocks[0].n_heads,
+                   **{name: np.stack([getattr(b, name) for b in blocks])
+                      for name in TENSOR_ORDER})
 
     def tensors(self):
         """Fixed-order (name, array) pairs; the order is the wire order."""
@@ -259,96 +284,97 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def transformer_block_fwd(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams):
     """Pre-LN block: attention(LN(Q), LN(KV)) + Q, then FFN(LN(.)) + residual.
 
-    Q is (..., q, d) and KV (..., n, d) with matching leading axes. Returns
-    (output (..., q, d), cache) where the cache carries every intermediate
-    needed for the exact backward pass (which takes unbatched inputs).
+    Q is (..., q, d) and KV (..., n, d); their leading axes and those of the
+    weights broadcast as numpy aligns them, from the right. Returns (output
+    (..., q, d), cache) where the cache carries every intermediate needed for
+    the exact backward pass.
     """
     Q = np.asarray(Q, dtype=np.float64)
     KV = np.asarray(KV, dtype=np.float64)
     d = p.d_model
     if Q.shape[-1] != d or KV.shape[-1] != d:
         raise DimMismatch(f"inputs must have width {d}")
+
+    def row(v):  # a bias or LN vector, broadcast over the rows of its weight set
+        return v[..., None, :]
+
     dh = d // p.n_heads
     scale = 1.0 / np.sqrt(dh)
 
-    Qn, ln_q = layer_norm_fwd(Q, p.ln1_g, p.ln1_b)
-    KVn, ln_kv = layer_norm_fwd(KV, p.ln1_g, p.ln1_b)
+    Qn, ln_q = layer_norm_fwd(Q, row(p.ln1_g), row(p.ln1_b))
+    KVn, ln_kv = layer_norm_fwd(KV, row(p.ln1_g), row(p.ln1_b))
 
-    qh = _split_heads(Qn @ p.wq + p.bq, p.n_heads)      # (..., H, q, dh)
-    kh = _split_heads(KVn @ p.wk + p.bk, p.n_heads)     # (..., H, n, dh)
-    vh = _split_heads(KVn @ p.wv + p.bv, p.n_heads)
+    qh = _split_heads(Qn @ p.wq + row(p.bq), p.n_heads)      # (..., H, q, dh)
+    kh = _split_heads(KVn @ p.wk + row(p.bk), p.n_heads)     # (..., H, n, dh)
+    vh = _split_heads(KVn @ p.wv + row(p.bv), p.n_heads)
     S = (qh @ kh.swapaxes(-1, -2)) * scale              # (..., H, q, n)
     A = softmax_rows(S)
     oh = A @ vh                                         # (..., H, q, dh)
     O = _merge_heads(oh)                                # (..., q, d)
-    attn = O @ p.wo + p.bo
+    attn = O @ p.wo + row(p.bo)
     T = attn + Q
 
-    Tn, ln_t = layer_norm_fwd(T, p.ln2_g, p.ln2_b)
-    H1 = Tn @ p.w1 + p.b1
+    Tn, ln_t = layer_norm_fwd(T, row(p.ln2_g), row(p.ln2_b))
+    H1 = Tn @ p.w1 + row(p.b1)
     G = gelu(H1)
-    F = G @ p.w2 + p.b2
+    F = G @ p.w2 + row(p.b2)
     Y = F + T
 
     cache = (p, Qn, KVn, ln_q, ln_kv, qh, kh, vh, A, O, Tn, ln_t, H1, G, scale)
     return Y, cache
 
 
-def transformer_block_bwd(cache, dY: np.ndarray):
+def transformer_block_bwd(cache, dY: np.ndarray, param_grads: bool = True):
     """Exact gradients of a cached forward pass.
 
-    Returns (dQ, dKV, grads) with grads keyed by TENSOR_ORDER names.
+    Returns (dQ, dKV, grads) with grads keyed by TENSOR_ORDER names. Every
+    gradient keeps the leading axes of the forward's broadcast: weight
+    gradients sum over the row axis only, one per stacked weight set, so the
+    weights must carry every leading axis of the inputs. With
+    param_grads=False they are skipped and grads is None, which is all a
+    frozen block needs.
     """
     p, Qn, KVn, ln_q, ln_kv, qh, kh, vh, A, O, Tn, ln_t, H1, G, scale = cache
-    grads = {}
 
-    dF = dY
-    dT = dY.copy()
-    grads["w2"] = G.T @ dF
-    grads["b2"] = dF.sum(axis=0)
-    dH1 = (dF @ p.w2.T) * gelu_grad(H1)
-    grads["w1"] = Tn.T @ dH1
-    grads["b1"] = dH1.sum(axis=0)
-    dTn = dH1 @ p.w1.T
-    dT_ln, grads["ln2_g"], grads["ln2_b"] = layer_norm_bwd(ln_t, dTn)
-    dT += dT_ln
+    # Y = FFN(LN(T)) + T
+    dH1 = (dY @ p.w2.swapaxes(-1, -2)) * gelu_grad(H1)
+    dT_ln, dg2, db2 = layer_norm_bwd(ln_t, dH1 @ p.w1.swapaxes(-1, -2))
+    dT = dY + dT_ln
 
     # T = attn + Q
-    d_attn = dT
-    dQ = dT.copy()
-    grads["wo"] = O.T @ d_attn
-    grads["bo"] = d_attn.sum(axis=0)
-    dO = d_attn @ p.wo.T
-    doh = _split_heads(dO, p.n_heads)                    # (H, q, dh)
-
-    dA = doh @ vh.swapaxes(-1, -2)                       # (H, q, n)
-    dvh = A.swapaxes(-1, -2) @ doh                       # (H, n, dh)
+    doh = _split_heads(dT @ p.wo.swapaxes(-1, -2), p.n_heads)   # (..., H, q, dh)
+    dA = doh @ vh.swapaxes(-1, -2)                              # (..., H, q, n)
+    dvh = A.swapaxes(-1, -2) @ doh                              # (..., H, n, dh)
     dS = (dA - (dA * A).sum(axis=-1, keepdims=True)) * A
-    dqh = (dS @ kh) * scale
-    dkh = (dS.swapaxes(-1, -2) @ qh) * scale
-
-    dq = _merge_heads(dqh)
-    dk = _merge_heads(dkh)
+    dq = _merge_heads((dS @ kh) * scale)
+    dk = _merge_heads((dS.swapaxes(-1, -2) @ qh) * scale)
     dv = _merge_heads(dvh)
-    grads["wq"] = Qn.T @ dq
-    grads["bq"] = dq.sum(axis=0)
-    grads["wk"] = KVn.T @ dk
-    grads["bk"] = dk.sum(axis=0)
-    grads["wv"] = KVn.T @ dv
-    grads["bv"] = dv.sum(axis=0)
 
-    dQn = dq @ p.wq.T
-    dKVn = dk @ p.wk.T + dv @ p.wv.T
-    dQ_ln, dg_q, db_q = layer_norm_bwd(ln_q, dQn)
-    dKV, dg_kv, db_kv = layer_norm_bwd(ln_kv, dKVn)
-    grads["ln1_g"] = dg_q + dg_kv
-    grads["ln1_b"] = db_q + db_kv
-    dQ += dQ_ln
+    dQ_ln, dg_q, db_q = layer_norm_bwd(ln_q, dq @ p.wq.swapaxes(-1, -2))
+    dKV, dg_kv, db_kv = layer_norm_bwd(ln_kv, dk @ p.wk.swapaxes(-1, -2)
+                                       + dv @ p.wv.swapaxes(-1, -2))
+    dQ = dT + dQ_ln
+    if not param_grads:
+        return dQ, dKV, None
+
+    def outer(x, dy):  # summed over rows, kept per leading index
+        return x.swapaxes(-1, -2) @ dy
+
+    grads = {
+        "wq": outer(Qn, dq), "bq": dq.sum(axis=-2),
+        "wk": outer(KVn, dk), "bk": dk.sum(axis=-2),
+        "wv": outer(KVn, dv), "bv": dv.sum(axis=-2),
+        "wo": outer(O, dT), "bo": dT.sum(axis=-2),
+        "w1": outer(Tn, dH1), "b1": dH1.sum(axis=-2),
+        "w2": outer(G, dY), "b2": dY.sum(axis=-2),
+        "ln1_g": dg_q + dg_kv, "ln1_b": db_q + db_kv,
+        "ln2_g": dg2, "ln2_b": db2,
+    }
     return dQ, dKV, grads
 
 
 def transformer_block_batch(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams) -> np.ndarray:
-    """`transformer_block_fwd` over Q (B, q, d), KV (B, n, d), cache dropped."""
+    """`transformer_block_fwd` with the cache dropped."""
     return transformer_block_fwd(Q, KV, p)[0]
 
 

@@ -7,7 +7,10 @@ similarity; classification logits are cosine over the pooled pair scaled by
 `losses_fwd_bwd` adds exact gradients w.r.t. the per-tier visual and text
 representatives, which `representative.reps_bwd` then turns into parameter
 gradients, and `losses_value` returns the total alone for the gradient
-check's finite-difference probes.
+check's finite-difference probes. Both take a `LossItem`, the item's
+constants (its text targets, the pooled softmax of its original tokens, its
+local loss and label), which `loss_item` computes once per item, not once
+per probe.
 """
 
 from __future__ import annotations
@@ -101,12 +104,11 @@ def _contrastive_bwd(cache, scale: float = 1.0):
     return _pool_bwd(vcache, dv), d_class_rows
 
 
-def _kl_pooled_fwd(rep_tokens: np.ndarray, ori_tokens: np.ndarray):
+def _kl_pooled_fwd(rep_tokens: np.ndarray, log_po: np.ndarray):
+    """KL(softmax(pool(rep)) || po), given log po of the original tokens."""
     r, rcache = _pool_fwd(rep_tokens)
-    o, _ = _pool_fwd(ori_tokens)
     pr = softmax_rows(r)
-    po = np.maximum(softmax_rows(o), 1e-12)
-    log_ratio = np.log(pr) - np.log(po)
+    log_ratio = np.log(pr) - log_po
     loss = float((pr * log_ratio).sum())
     return loss, (rcache, pr, log_ratio)
 
@@ -143,16 +145,41 @@ def total_loss(cls: float, cls_low: float, cls_high: float, reg_text: float,
 # fused objective with exact representative gradients
 # --------------------------------------------------------------------------
 
-def _objective_fwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
-                   local_value: float, label: int, weights: LossWeights):
-    """The weighted total of one item and the caches its backward needs."""
+@dataclass(frozen=True)
+class LossItem:
+    """The constants of one item's objective: the text target of every
+    tier's representatives (text_ori once per tier), log of the clamped
+    softmax of the pooled original tokens, the local loss (a constant of the
+    trainable parameters) and the label."""
+
+    text_targets: np.ndarray
+    log_po: np.ndarray
+    local: float
+    label: int
+
+
+def loss_item(text_ori: np.ndarray, all_tokens: np.ndarray, n_tiers: int,
+              local_value: float, label: int) -> LossItem:
+    """`LossItem` of an item with (C, d) text tokens, its (n, d) original
+    tokens and n_tiers nonempty tiers."""
+    if n_tiers < 1:
+        raise DimMismatch("need one visual and one text set per tier")
     text_ori = np.asarray(text_ori, dtype=np.float64)
+    o, _ = _pool_fwd(all_tokens)
+    log_po = np.log(np.maximum(softmax_rows(o), 1e-12))
+    return LossItem(np.vstack([text_ori] * n_tiers), log_po, local_value, label)
+
+
+def _objective_fwd(V_list, R_list, item: LossItem, weights: LossWeights):
+    """The weighted total of one item and the caches its backward needs."""
     n_tiers = len(V_list)
     if n_tiers == 0 or n_tiers != len(R_list):
         raise DimMismatch("need one visual and one text set per tier")
-    if any(R.shape != text_ori.shape for R in R_list):
-        raise DimMismatch(f"text representatives must match text_ori {text_ori.shape}")
-    tau = weights.tau
+    R_all = np.vstack(R_list)
+    if R_all.shape != item.text_targets.shape:
+        raise DimMismatch(f"text representatives must match the text tokens, "
+                          f"{R_all.shape} vs {item.text_targets.shape}")
+    tau, label = weights.tau, item.label
 
     V_all = np.vstack(V_list)
     class_rows = np.stack(R_list, axis=1)  # (C, n_tiers, d)
@@ -163,23 +190,20 @@ def _objective_fwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
                   for V, R in zip(V_list, R_list)]
     high, low = tier_terms[0][0], (tier_terms[1][0] if n_tiers > 1 else 0.0)
 
-    diff = np.vstack(R_list) - np.vstack([text_ori] * n_tiers)
+    diff = R_all - item.text_targets
     reg = float(np.abs(diff).mean())
 
-    kl, kl_cache = _kl_pooled_fwd(V_all, all_tokens)
-    breakdown = total_loss(cls, low, high, reg, kl, local_value, weights)
+    kl, kl_cache = _kl_pooled_fwd(V_all, item.log_po)
+    breakdown = total_loss(cls, low, high, reg, kl, item.local, weights)
     return breakdown, (cls_cache, tier_terms, diff, kl_cache)
 
 
-def losses_value(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
-                 local_value: float, label: int, weights: LossWeights) -> float:
+def losses_value(V_list, R_list, item: LossItem, weights: LossWeights) -> float:
     """The total loss alone, for repeated probing (finite differences)."""
-    return _objective_fwd(V_list, R_list, text_ori, all_tokens, local_value,
-                          label, weights)[0].total
+    return _objective_fwd(V_list, R_list, item, weights)[0].total
 
 
-def losses_fwd_bwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
-                   local_value: float, label: int, weights: LossWeights):
+def losses_fwd_bwd(V_list, R_list, item: LossItem, weights: LossWeights):
     """Full objective for one item plus gradients w.r.t. the representatives.
 
     V_list / R_list hold one (K, d) visual and one (C, d) text representative
@@ -188,7 +212,7 @@ def losses_fwd_bwd(V_list, R_list, text_ori: np.ndarray, all_tokens: np.ndarray,
     parameters.
     """
     breakdown, (cls_cache, tier_terms, diff, kl_cache) = _objective_fwd(
-        V_list, R_list, text_ori, all_tokens, local_value, label, weights)
+        V_list, R_list, item, weights)
 
     dV_all, d_class_rows = _contrastive_bwd(cls_cache)
     dV_all += _kl_pooled_bwd(kl_cache, weights.lambda3)

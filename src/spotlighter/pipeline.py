@@ -55,7 +55,7 @@ from .features import FeatureSet, generate_base_novel
 from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, match_class,
                           momentum_update)
 from .numerics import block_param_count, finite_difference_errors, normalize_rows, softmax_rows
-from .objectives import LossWeights, losses_fwd_bwd, losses_value
+from .objectives import LossWeights, loss_item, losses_fwd_bwd, losses_value
 from .representative import (FrozenTheta, FusionParams, reps_bwd, reps_fwd, tier_inputs,
                              trainable_param_count)
 from .rng import Stream
@@ -195,12 +195,12 @@ def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     """One optimizer step; returns (updated bank, LossBreakdown)."""
     bank, tiers, local = _front_end(X, label, bank, text, cfg)
     V_list, R_list, cache = reps_fwd(tiers, bank.prototypes[label], params, theta)
-    breakdown, dV, dR = losses_fwd_bwd(V_list, R_list, text, X, local,
-                                       label, weights)
+    breakdown, dV, dR = losses_fwd_bwd(V_list, R_list,
+                                       loss_item(text, X, len(tiers), local, label), weights)
     grads = reps_bwd(cache, dV, dR)
 
-    for name, arr in params.tensors():
-        arr -= cfg.lr * grads[name]
+    for arr, grad in zip(params.storage(), grads.storage()):
+        arr -= cfg.lr * grad
     return bank, breakdown
 
 
@@ -533,15 +533,13 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
         params, V_list, R_list, cache = _draw_kink_safe_params(cfg, case, tiers, protos,
                                                                text, theta, eps)
         x0 = params.flatten()
-        _, dV, dR = losses_fwd_bwd(V_list, R_list, text, X, local, label, weights)
-        grads = reps_bwd(cache, dV, dR)
-        analytic = np.concatenate([grads[name].ravel() for name, _ in params.tensors()])
+        item = loss_item(text, X, len(tiers), local, label)
+        _, dV, dR = losses_fwd_bwd(V_list, R_list, item, weights)
+        analytic = reps_bwd(cache, dV, dR).flatten()
         if corrupt:
-            analytic = analytic.copy()
             analytic[0] += 1e-2
 
-        objective = _fast_objective(params, tiers, protos, theta, text, X, local,
-                                    label, weights)
+        objective = _fast_objective(params, tiers, protos, theta, item, weights)
         errors = finite_difference_errors(objective, x0, analytic, eps)
         worst = max(worst, float(errors.max()))
         pos = 0
@@ -559,17 +557,16 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
 
 
 def _fast_objective(params: FusionParams, tiers, protos, theta: FrozenTheta,
-                    text: np.ndarray, X: np.ndarray, local: float, label: int,
-                    weights: LossWeights):
+                    item, weights: LossWeights):
     """Value-only total-loss closure for finite-difference probing: the
     training forward, cache-free, on parameters that view one flat buffer
-    (loading a probe vector is one copy)."""
+    (loading a probe vector is one copy), against the item's `LossItem`."""
     buf, work = params.flat_view()
 
     def objective(flat: np.ndarray) -> float:
         buf[...] = flat
         V_list, R_list, _ = reps_fwd(tiers, protos, work, theta, keep_cache=False)
-        return losses_value(V_list, R_list, text, X, local, label, weights)
+        return losses_value(V_list, R_list, item, weights)
 
     return objective
 

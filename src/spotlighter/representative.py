@@ -4,7 +4,8 @@ Visual side: one trainable cross-attention block per tier takes the class
 prototypes as queries and the tier tokens as keys/values; the fused
 prototypes are then concatenated with the tier tokens and passed through a
 frozen, seeded transformer block (full self-attention), whose first K output
-rows are the representative visual tokens.
+rows are the representative visual tokens. The two IRM blocks are stored
+stacked on a leading tier axis.
 
 Text side: every class text token attends over the tier tokens with a
 temperature-scaled cosine softmax and is concatenated with the weighted
@@ -18,6 +19,15 @@ item axis, with backward caches or (batched prediction, finite-difference
 probes) without; `reps_bwd` turns representative gradients into exact
 parameter gradients, and the frozen block routes gradients but never
 receives them.
+
+Both functions work on tier groups, each one IRM call and one frozen-block
+call over a tier axis, the last leading axis of the block inputs, against
+which the stacked IRM weights broadcast. The tiers of one item (a training step, a
+gradient-check probe) form one group when they hold the same number of
+tokens, which even k gives, and one group each otherwise: a group of one is
+the same code with a tier axis of length 1. Tiers with an item axis (batched
+prediction) stay one group each: the item axis already amortises the call
+overhead, and stacking both tiers there made the bulk forwards slower.
 """
 
 from __future__ import annotations
@@ -43,11 +53,12 @@ from .rng import Stream
 class FusionParams:
     """The only trainable parameters: per-tier IRM blocks plus the TRM linear.
 
-    irm holds one block per tier, irm[t] for tier t. trm_w maps the
-    concatenated (text token, aggregate) pair of width 2d back to d.
+    irm stacks one block per tier on a leading tier axis, irm[t] for tier t.
+    trm_w maps the concatenated (text token, aggregate) pair of width 2d back
+    to d.
     """
 
-    irm: tuple
+    irm: TransformerBlockParams
     trm_w: np.ndarray
     trm_b: np.ndarray
     alpha: float
@@ -55,9 +66,10 @@ class FusionParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
-        if len(self.irm) != 2:
-            raise DimMismatch(f"one IRM block per tier is 2 blocks, got {len(self.irm)}")
-        d = self.irm[0].d_model
+        n_blocks = self.irm.wq.shape[:-2]
+        if n_blocks != (2,):
+            raise DimMismatch(f"one IRM block per tier is 2 stacked blocks, got {n_blocks}")
+        d = self.irm.d_model
         self.trm_w = np.asarray(self.trm_w, dtype=np.float64)
         self.trm_b = np.asarray(self.trm_b, dtype=np.float64)
         if self.trm_w.shape != (2 * d, d) or self.trm_b.shape != (d,):
@@ -65,50 +77,56 @@ class FusionParams:
 
     @property
     def d_model(self) -> int:
-        return self.irm[0].d_model
+        return self.irm.d_model
 
     def tensors(self):
-        out = []
-        for i, block in enumerate(self.irm):
-            out.extend((f"irm{i}.{name}", arr) for name, arr in block.tensors())
+        """Named per-tier views in wire order: irm0.*, irm1.*, trm.w, trm.b."""
+        out = [(f"irm{t}.{name}", arr[t]) for t in range(2) for name, arr in self.irm.tensors()]
         out.append(("trm.w", self.trm_w))
         out.append(("trm.b", self.trm_b))
         return out
 
+    def storage(self):
+        """The arrays that hold the parameters: stacked IRM tensors, TRM pair."""
+        return [arr for _, arr in self.irm.tensors()] + [self.trm_w, self.trm_b]
+
     def n_params(self) -> int:
-        return sum(int(a.size) for _, a in self.tensors())
+        return sum(int(a.size) for a in self.storage())
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([a.ravel() for _, a in self.tensors()])
 
     def flat_view(self):
         """(buffer, params): `flatten()` and a FusionParams whose tensors view
-        that buffer, so writing a flat vector into it loads every tensor."""
+        that buffer, so writing a flat vector into it loads every tensor. The
+        two IRM blocks share one layout, one block apart, so each stacked
+        tensor is a strided view."""
         buf = self.flatten()
-        views, pos = {}, 0
-        for name, a in self.tensors():
-            views[name] = buf[pos : pos + a.size].reshape(a.shape)
+        n_block = self.irm[0].n_params()
+        blocks, pos = buf[: 2 * n_block].reshape(2, n_block), 0
+        irm = {}
+        for name, a in self.irm[0].tensors():
+            irm[name] = blocks[:, pos : pos + a.size].reshape((2,) + a.shape)
             pos += a.size
-        irm = tuple(TransformerBlockParams(n_heads=b.n_heads, **{
-                        name: views[f"irm{i}.{name}"] for name, _ in b.tensors()})
-                    for i, b in enumerate(self.irm))
-        return buf, FusionParams(irm=irm, trm_w=views["trm.w"], trm_b=views["trm.b"],
-                                 alpha=self.alpha)
+        trm_w = buf[2 * n_block : 2 * n_block + self.trm_w.size].reshape(self.trm_w.shape)
+        trm_b = buf[2 * n_block + self.trm_w.size :]
+        return buf, FusionParams(irm=TransformerBlockParams(n_heads=self.irm.n_heads, **irm),
+                                 trm_w=trm_w, trm_b=trm_b, alpha=self.alpha)
 
     @classmethod
     def init(cls, d: int, n_heads: int, stream: Stream, *, ffn_mult: int = 2,
              alpha: float = 0.2, scale: float = 0.05) -> "FusionParams":
-        irm = tuple(
+        irm = TransformerBlockParams.stack([
             TransformerBlockParams.random(d, n_heads, stream, ffn_mult=ffn_mult, scale=scale)
             for _ in range(2)
-        )
+        ])
         trm_w = scale / np.sqrt(2 * d) * stream.normals(2 * d, d)
         return cls(irm=irm, trm_w=trm_w, trm_b=np.zeros(d), alpha=alpha)
 
     @classmethod
     def zeros(cls, d: int, n_heads: int, *, ffn_mult: int = 2,
               alpha: float = 0.0) -> "FusionParams":
-        irm = tuple(TransformerBlockParams.zeros(d, n_heads, ffn_mult) for _ in range(2))
+        irm = TransformerBlockParams.stack([TransformerBlockParams.zeros(d, n_heads, ffn_mult)] * 2)
         return cls(irm=irm, trm_w=np.zeros((2 * d, d)), trm_b=np.zeros(d), alpha=alpha)
 
 
@@ -157,6 +175,19 @@ def tier_inputs(tiers, text_tokens: np.ndarray, temperature: float):
     return out
 
 
+def _tier_groups(tiers, batched: bool):
+    """`tier_inputs` entries split into the groups that share one IRM call
+    and one frozen-block call: consecutive single-item tiers with the same
+    token count; with an item axis, one tier per group."""
+    groups = []
+    for entry in tiers:
+        if groups and not batched and groups[-1][-1][1].shape == entry[1].shape:
+            groups[-1].append(entry)
+        else:
+            groups.append([entry])
+    return groups
+
+
 def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
              theta: FrozenTheta, *, keep_cache: bool = True):
     """Run IRM -> frozen block -> TRM per tier of `tier_inputs`.
@@ -164,8 +195,9 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
     Returns (V_list, R_list, cache): one (K, d) visual and one (C, d) text
     representative set per tier, in tier order; the text residual is the text
     half of Z. Stacked inputs — (N, m, d) tier tokens and (N, K, d) prototypes
-    — give (N, K, d) and (N, C, d) sets. With keep_cache=False the blocks drop
-    their intermediates and the returned cache is None.
+    — give (N, K, d) and (N, C, d) sets. Each tier group runs its blocks once
+    over a tier axis. With keep_cache=False the blocks drop their
+    intermediates and the returned cache is None.
     """
     protos = np.asarray(class_protos, dtype=np.float64)
     K, d = protos.shape[-2:]
@@ -175,37 +207,48 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
             return transformer_block_fwd(Q, KV, p)
         return transformer_block_batch(Q, KV, p), None
 
-    V_list, R_list, tier_caches = [], [], []
-    for tier_idx, tokens, Z in tiers:
-        fused, irm_cache = block(protos, tokens, params.irm[tier_idx])
+    V_list, R_list, group_caches = [], [], []
+    for group in _tier_groups(tiers, protos.ndim == 3):
+        first, T = group[0][0], len(group)
+        tokens = np.stack([tok for _, tok, _ in group], axis=-3)  # (..., T, m, d)
+        fused, irm_cache = block(protos[..., None, :, :], tokens,
+                                 params.irm[first : first + T])
         seq = np.concatenate([fused, tokens], axis=-2)
         out, theta_cache = block(seq, seq, theta.block)
-        V_list.append(out[..., :K, :])
-        R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + Z[..., :d])
+        for i, (_, _, Z) in enumerate(group):
+            V_list.append(out[..., i, :K, :])
+            R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + Z[..., :d])
         if keep_cache:
-            tier_caches.append((f"irm{tier_idx}", irm_cache, theta_cache, Z, K))
-    return V_list, R_list, (params, tier_caches) if keep_cache else None
+            group_caches.append((first, irm_cache, theta_cache, [Z for _, _, Z in group], K))
+    return V_list, R_list, (params, group_caches) if keep_cache else None
 
 
-def reps_bwd(cache, dV_list, dR_list) -> dict:
-    """Gradients of every trainable tensor given representative gradients.
+def reps_bwd(cache, dV_list, dR_list) -> FusionParams:
+    """Gradients of every trainable tensor given representative gradients,
+    as a FusionParams of the same shapes.
 
     The frozen block only routes gradients; its tensors are absent from the
-    result.
+    result. The TRM gradient is accumulated tier by tier.
     """
-    params, tier_caches = cache
-    grads = {name: np.zeros_like(arr) for name, arr in params.tensors()}
-    for (irm_key, irm_cache, theta_cache, Z, K), dV, dR in zip(tier_caches, dV_list, dR_list):
+    params, group_caches = cache
+    irm = {name: np.zeros_like(arr) for name, arr in params.irm.tensors()}
+    trm_w, trm_b = np.zeros_like(params.trm_w), np.zeros_like(params.trm_b)
+    tier = 0
+    for first, irm_cache, theta_cache, Zs, K in group_caches:
+        T = len(Zs)
+        dVs, dRs = dV_list[tier : tier + T], dR_list[tier : tier + T]
+        tier += T
         # text side: Z is a constant of the trainable set
-        grads["trm.w"] += params.alpha * (Z.T @ dR)
-        grads["trm.b"] += params.alpha * dR.sum(axis=0)
-        # visual side: route through frozen theta, then the tier's IRM block
-        seq_len = theta_cache[1].shape[0]  # K + m rows entered the frozen block
-        d_out = np.zeros((seq_len, dV.shape[1]))
-        d_out[:K] = dV
-        dQ_t, dKV_t, _ = transformer_block_bwd(theta_cache, d_out)
-        d_fused = (dQ_t + dKV_t)[:K]
+        for Z, dR in zip(Zs, dRs):
+            trm_w += params.alpha * (Z.T @ dR)
+            trm_b += params.alpha * dR.sum(axis=0)
+        # visual side: route through frozen theta, then the tiers' IRM blocks
+        d_out = np.zeros(theta_cache[1].shape)  # (T, K + m, d) entered the frozen block
+        d_out[:, :K] = dVs
+        dQ_t, dKV_t, _ = transformer_block_bwd(theta_cache, d_out, param_grads=False)
+        d_fused = (dQ_t + dKV_t)[:, :K]
         _, _, irm_grads = transformer_block_bwd(irm_cache, d_fused)
         for name, g in irm_grads.items():
-            grads[f"{irm_key}.{name}"] += g
-    return grads
+            irm[name][first : first + T] += g
+    return FusionParams(irm=TransformerBlockParams(n_heads=params.irm.n_heads, **irm),
+                        trm_w=trm_w, trm_b=trm_b, alpha=params.alpha)

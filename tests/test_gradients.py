@@ -14,10 +14,29 @@ from spotlighter.numerics import (
     transformer_block_bwd,
     transformer_block_fwd,
 )
-from spotlighter.objectives import _contrastive_bwd, _contrastive_fwd, losses_fwd_bwd
+from spotlighter.objectives import _contrastive_bwd, _contrastive_fwd, loss_item, losses_fwd_bwd
 from spotlighter.pipeline import _fast_objective, _front_end, gradcheck_total_loss
 from spotlighter.representative import FrozenTheta, FusionParams, reps_fwd
 from spotlighter.rng import Stream
+
+
+def _block_fd_error(p, Q, KV, W):
+    """Worst finite-difference error of every weight gradient of one block
+    call (weights with or without leading axes)."""
+    def objective(flat):
+        pc = p.copy()
+        pos = 0
+        for _, arr in pc.tensors():
+            arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
+            pos += arr.size
+        out, _ = transformer_block_fwd(Q, KV, pc)
+        return float((out * W).sum())
+
+    out, cache = transformer_block_fwd(Q, KV, p)
+    _, _, grads = transformer_block_bwd(cache, W)
+    x0 = np.concatenate([a.ravel() for _, a in p.tensors()])
+    analytic = np.concatenate([grads[n].ravel() for n, _ in p.tensors()])
+    return float(finite_difference_errors(objective, x0, analytic, 1e-5).max())
 
 
 def test_block_gradients_at_100_random_points():
@@ -27,24 +46,14 @@ def test_block_gradients_at_100_random_points():
     for point in range(100):
         s = Stream(1000 + point)
         p = TransformerBlockParams.random(d, H, s, ffn_mult=1, scale=0.5)
-        Q = s.normals(2, d)
-        KV = s.normals(3, d)
-        W = s.normals(2, d)
-
-        def objective(flat):
-            pc = p.copy()
-            pos = 0
-            for _, arr in pc.tensors():
-                arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-                pos += arr.size
-            out, _ = transformer_block_fwd(Q, KV, pc)
-            return float((out * W).sum())
-
-        out, cache = transformer_block_fwd(Q, KV, p)
-        _, _, grads = transformer_block_bwd(cache, W)
-        x0 = np.concatenate([a.ravel() for _, a in p.tensors()])
-        analytic = np.concatenate([grads[n].ravel() for n, _ in p.tensors()])
-        worst = max(worst, float(finite_difference_errors(objective, x0, analytic, 1e-5).max()))
+        worst = max(worst, _block_fd_error(p, s.normals(2, d), s.normals(3, d),
+                                           s.normals(2, d)))
+        if point % 5 == 0:
+            # leading-axis case: two weight sets stacked, one per input slice
+            stacked = TransformerBlockParams.stack(
+                [p, TransformerBlockParams.random(d, H, s, ffn_mult=1, scale=0.5)])
+            worst = max(worst, _block_fd_error(stacked, s.normals(2, 2, d),
+                                               s.normals(2, 3, d), s.normals(2, 2, d)))
     assert worst < 1e-4, worst
 
 
@@ -99,9 +108,9 @@ def test_probe_value_is_the_training_total(k_act, n_tiers):
     params = FusionParams.init(cfg.d, cfg.heads, Stream(4), alpha=cfg.alpha, scale=0.1)
     theta = FrozenTheta.init(cfg.d, cfg.heads, Stream(5))
     V, R, _ = reps_fwd(tiers, protos, params, theta)
-    want = losses_fwd_bwd(V, R, text, X, local, label, cfg.loss_weights())[0].total
-    objective = _fast_objective(params, tiers, protos, theta, text, X, local, label,
-                                cfg.loss_weights())
+    item = loss_item(text, X, len(tiers), local, label)
+    want = losses_fwd_bwd(V, R, item, cfg.loss_weights())[0].total
+    objective = _fast_objective(params, tiers, protos, theta, item, cfg.loss_weights())
     assert objective(params.flatten()) == want
 
 

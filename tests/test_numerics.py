@@ -12,6 +12,7 @@ from spotlighter.errors import (
     ZeroVector,
 )
 from spotlighter.numerics import (
+    TENSOR_ORDER,
     TransformerBlockParams,
     cosine_matrix,
     grad_check,
@@ -19,6 +20,7 @@ from spotlighter.numerics import (
     l2_normalize,
     softmax_rows,
     transformer_block_batch,
+    transformer_block_bwd,
     transformer_block_fwd,
 )
 from spotlighter.rng import Stream
@@ -199,6 +201,55 @@ def test_block_batch_matches_single(rng):
     assert batched.shape == (4, 3, 8)
     for i in range(4):
         assert np.abs(batched[i] - ref_transformer_block(Q[i], KV[i], p)).max() < 1e-8
+
+
+def test_stacked_block_equals_single_blocks_bitwise(rng):
+    # one call over two stacked weight sets is the two single-block calls:
+    # output, input gradients and each set's weight gradients, bit for bit
+    blocks = [_random_params(8, 2, seed=s) for s in (31, 32)]
+    stacked = TransformerBlockParams.stack(blocks)
+    Q, KV, dY = rng.normal(size=(2, 3, 8)), rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 3, 8))
+    out, cache = transformer_block_fwd(Q, KV, stacked)
+    dQ, dKV, grads = transformer_block_bwd(cache, dY)
+    assert np.array_equal(transformer_block_batch(Q, KV, stacked), out)
+    for t, block in enumerate(blocks):
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(stacked[t].tensors(),
+                                                                 block.tensors()))
+        out_t, cache_t = transformer_block_fwd(Q[t], KV[t], block)
+        dQ_t, dKV_t, grads_t = transformer_block_bwd(cache_t, dY[t])
+        assert np.array_equal(out[t], out_t)
+        assert np.array_equal(dQ[t], dQ_t) and np.array_equal(dKV[t], dKV_t)
+        for name in TENSOR_ORDER:
+            assert np.array_equal(grads[name][t], grads_t[name]), name
+
+
+def test_block_input_gradients_alone(rng):
+    # a shared weight set over a leading axis (the frozen block over stacked
+    # tiers): input gradients only, equal to the per-slice calls
+    p = _random_params(8, 2, seed=33)
+    X, dY = rng.normal(size=(2, 4, 8)), rng.normal(size=(2, 4, 8))
+    dQ, dKV, grads = transformer_block_bwd(transformer_block_fwd(X, X, p)[1], dY,
+                                           param_grads=False)
+    assert grads is None
+    for t in range(2):
+        dQ_t, dKV_t, _ = transformer_block_bwd(transformer_block_fwd(X[t], X[t], p)[1], dY[t])
+        assert np.array_equal(dQ[t], dQ_t) and np.array_equal(dKV[t], dKV_t)
+
+
+def test_stacked_block_serves_outer_item_axes(rng):
+    # weights stacked on one axis broadcast against the inputs' last leading
+    # axis, so an item axis may sit outside the tier axis
+    blocks = [_random_params(8, 2, seed=s) for s in (34, 35)]
+    stacked = TransformerBlockParams.stack(blocks)
+    Q, KV = rng.normal(size=(3, 2, 1, 8)), rng.normal(size=(3, 2, 4, 8))
+    out = transformer_block_batch(Q, KV, stacked)
+    assert out.shape == (3, 2, 1, 8)
+    for t, block in enumerate(blocks):
+        assert np.array_equal(out[:, t], transformer_block_batch(Q[:, t], KV[:, t], block))
+    # one query set broadcast over both weight sets
+    shared = transformer_block_batch(Q[:1, :1], KV[0], stacked)
+    for t, block in enumerate(blocks):
+        assert np.array_equal(shared[0, t], transformer_block_batch(Q[0, 0], KV[0, t], block))
 
 
 # --- kl divergence -----------------------------------------------------------

@@ -8,6 +8,7 @@ from spotlighter.numerics import finite_difference_errors, normalize_rows, softm
 from spotlighter.objectives import (
     LossBreakdown,
     LossWeights,
+    loss_item,
     losses_fwd_bwd,
     total_loss,
 )
@@ -17,7 +18,8 @@ from .reference_impls import ref_contrastive, ref_kl_extended, ref_pool_normaliz
 
 def parts(V_list, R_list, text, X, label=0, tau=0.1):
     """The LossBreakdown losses_fwd_bwd reports (local loss 0)."""
-    b, _, _ = losses_fwd_bwd(V_list, R_list, text, X, 0.0, label, LossWeights(tau=tau))
+    item = loss_item(text, X, len(V_list), 0.0, label)
+    b, _, _ = losses_fwd_bwd(V_list, R_list, item, LossWeights(tau=tau))
     return b
 
 
@@ -188,7 +190,8 @@ def test_losses_fwd_bwd_gradients_wrt_representatives(rng):
     X = rng.normal(size=(7, d))
     w = LossWeights(0.02, 20.0, 0.1, 0.05)
 
-    breakdown, dV, dR = losses_fwd_bwd(V_list, R_list, text, X, 0.37, 1, w)
+    item = loss_item(text, X, 2, 0.37, 1)
+    breakdown, dV, dR = losses_fwd_bwd(V_list, R_list, item, w)
     assert isinstance(breakdown, LossBreakdown)
 
     x0 = np.concatenate([V_list[0].ravel(), V_list[1].ravel(),
@@ -202,7 +205,7 @@ def test_losses_fwd_bwd_gradients_wrt_representatives(rng):
         Vs = [flat[:n].reshape(K, d), flat[n : 2 * n].reshape(K, d)]
         Rs = [flat[2 * n : 2 * n + m].reshape(C, d),
               flat[2 * n + m :].reshape(C, d)]
-        b, _, _ = losses_fwd_bwd(Vs, Rs, text, X, 0.37, 1, w)
+        b, _, _ = losses_fwd_bwd(Vs, Rs, item, w)
         return b.total
 
     errs = finite_difference_errors(objective, x0, analytic, 1e-5)

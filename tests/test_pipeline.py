@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -132,6 +133,22 @@ def test_trained_state_does_not_depend_on_tier_mode(tiny_config, tiny_episode):
             assert name == name_b and a.tobytes() == b.tobytes(), name
         assert state.theta.to_bytes() == ref.theta.to_bytes()
         assert state.bank.prototypes.tobytes() == ref.bank.prototypes.tobytes()
+
+
+@pytest.mark.parametrize("k_act, digest", [
+    (4, "8040f592b70abeef8deee22d97f9df79deaaeaab713c82bfcf87f5caab7b51a8"),
+    (5, "1be9d12f74fb9a085004bf31a7dade5a39d0dd411ae18ad35cf6c6b4dd46b444"),
+], ids=["even_k", "odd_k"])
+def test_trained_state_bytes_are_pinned(tiny_config, tiny_episode, k_act, digest):
+    # SHA-256 of the trained parameters (wire order) and bank, recorded when
+    # each tier still ran its own block calls: stacking the tiers changes no
+    # bit. Even k_act fuses both tiers as one group, odd k_act as two.
+    state = train(tiny_config.with_overrides(k_act=k_act), tiny_episode[0])
+    h = hashlib.sha256()
+    for _, arr in state.params.tensors():
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(state.bank.prototypes, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 # --- prediction -----------------------------------------------------------------

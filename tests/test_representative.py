@@ -253,7 +253,8 @@ def test_param_count_formula_matches_enumeration():
 
 def test_fusion_params_hold_one_irm_block_per_tier():
     block = TransformerBlockParams.zeros(8, 2, 2)
-    for irm in ((block,), (block, block, block)):
+    for irm in (block, TransformerBlockParams.stack([block]),
+                TransformerBlockParams.stack([block] * 3)):
         with pytest.raises(DimMismatch):
             FusionParams(irm=irm, trm_w=np.zeros((16, 8)), trm_b=np.zeros(8), alpha=0.2)
 
@@ -270,11 +271,27 @@ def test_flatten_roundtrip(rng):
     source = rand_params(seed=99)
     buf, other = source.flat_view()
     assert np.array_equal(buf, source.flatten())
+    # the stacked tensors reps_fwd reads view buf, one block apart
+    for name, arr in other.irm.tensors():
+        assert arr.shape[0] == 2 and np.shares_memory(arr, buf), name
+    d = params.d_model
+    tiers = tier_inputs([(0, rng.normal(size=(3, d))), (1, rng.normal(size=(3, d)))],
+                        rng.normal(size=(4, d)), 0.05)
+    protos, theta = rng.normal(size=(2, d)), FrozenTheta.init(d, 2, Stream(5))
+
+    def forward(p):
+        V, R, _ = reps_fwd(tiers, protos, p, theta, keep_cache=False)
+        return V + R
+
+    assert all(np.array_equal(a, b) for a, b in zip(forward(other), forward(source)))
     buf[...] = flat  # other's tensors view buf
     assert np.array_equal(other.flatten(), flat)
     for (na, a), (nb, b) in zip(params.tensors(), other.tensors()):
         assert na == nb
         assert np.array_equal(a, b)
+    for a, b in zip(params.storage(), other.storage()):
+        assert np.array_equal(a, b)
+    assert all(np.array_equal(a, b) for a, b in zip(forward(other), forward(params)))
     assert np.array_equal(source.flatten(), rand_params(seed=99).flatten())  # buf is a copy
 
 
@@ -288,13 +305,15 @@ def test_theta_bytes_stable_under_reads(rng):
 
 # --- gradients through the composition ------------------------------------------------
 
-def test_reps_bwd_matches_finite_differences(rng):
+@pytest.mark.parametrize("m1, m2", [(2, 2), (3, 2)])
+def test_reps_bwd_matches_finite_differences(rng, m1, m2):
+    # equal tier sizes run as one stacked group, unequal ones as two groups
     from spotlighter.numerics import finite_difference_errors
 
     d = 8
     protos = rng.normal(size=(3, d))
     text = rng.normal(size=(3, d))
-    tiers = tier_inputs([(0, rng.normal(size=(2, d))), (1, rng.normal(size=(2, d)))],
+    tiers = tier_inputs([(0, rng.normal(size=(m1, d))), (1, rng.normal(size=(m2, d)))],
                         text, 0.05)
     params = rand_params(d, seed=20)
     theta = FrozenTheta.init(d, 2, Stream(21), scale=0.3)
@@ -310,7 +329,7 @@ def test_reps_bwd_matches_finite_differences(rng):
                      + sum((r * w).sum() for r, w in zip(R, WR)))
 
     V, R, cache = reps_fwd(tiers, protos, params, theta)
-    grads = reps_bwd(cache, WV, WR)
-    analytic = np.concatenate([grads[name].ravel() for name, _ in params.tensors()])
+    assert len(cache[1]) == (1 if m1 == m2 else 2)  # tier groups
+    analytic = reps_bwd(cache, WV, WR).flatten()
     errs = finite_difference_errors(objective, params.flatten(), analytic, 1e-5)
     assert errs.max() < 1e-6
