@@ -24,7 +24,7 @@ label = int(train.labels[item])
 protos = bank.prototypes[label]
 samp = sample_scores(X, train.text_embeddings[label].astype(float))
 sem = semantic_scores(X, protos)
-combined = combine_scores(samp, sem, semantic_on=True)
+combined = combine_scores(samp, sem)
 selected = select_activated(combined, 8)
 tier1, tier2 = stratify(selected, combined, X, protos, recalc_on=False)
 

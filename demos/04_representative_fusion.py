@@ -7,7 +7,8 @@ exact residual identities and counts the trainable parameters.
 
 import numpy as np
 
-from spotlighter import FrozenTheta, FusionParams, reps_fwd, tier_inputs, trainable_param_count
+from spotlighter import (FusionParams, TransformerBlockParams, reps_fwd, tier_inputs,
+                         trainable_param_count)
 from spotlighter.numerics import normalize_rows
 from spotlighter.rng import Stream
 
@@ -19,7 +20,7 @@ tier1 = stream.normals(8, d)
 tier2 = stream.normals(8, d)
 
 params = FusionParams.init(d, heads, stream, alpha=0.2)
-theta = FrozenTheta.init(d, heads, stream.child(1))
+theta = TransformerBlockParams.random(d, heads, stream.child(1))  # the frozen block
 tiers = tier_inputs([(0, tier1), (1, tier2)], text, 0.01)  # text-side matching, once
 V_list, R_list, _ = reps_fwd(tiers, protos, params, theta)
 V, R = np.vstack(V_list), np.vstack(R_list)
@@ -27,7 +28,7 @@ print(f"visual representatives: {V.shape} (K per tier, concatenated)")
 print(f"text representatives:   {R.shape} (C per tier, concatenated)")
 
 zero = FusionParams.zeros(d, heads, alpha=0.0)
-V0_list, R0_list, _ = reps_fwd(tiers, protos, zero, FrozenTheta.zeros(d, heads))
+V0_list, R0_list, _ = reps_fwd(tiers, protos, zero, TransformerBlockParams.zeros(d, heads))
 V0, R0 = np.vstack(V0_list), np.vstack(R0_list)
 print("\nzero weights, alpha=0: visual == [U; U]?",
       np.array_equal(V0, np.vstack([protos, protos])))

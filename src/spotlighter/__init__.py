@@ -12,14 +12,7 @@ from .config import RunConfig
 from .errors import SpotlighterError
 from .features import FeatureSet, SynthSpec, generate_base_novel, generate_episode, read_features, write_features
 from .memory_bank import Assignment, MemoryBank, assign_tokens, init_bank, local_loss, match_class, momentum_update
-from .numerics import (
-    TransformerBlockParams,
-    cosine_matrix,
-    grad_check,
-    kl_divergence,
-    l2_normalize,
-    softmax_rows,
-)
+from .numerics import TransformerBlockParams, cosine_matrix, finite_difference_errors, softmax_rows
 from .objectives import LossBreakdown, LossWeights, total_loss
 from .pipeline import (
     Metrics,
@@ -31,11 +24,10 @@ from .pipeline import (
     harmonic_mean,
     load_state,
     make_eval_class_set,
-    predict,
     predict_batch,
     save_state,
     train,
 )
-from .representative import FrozenTheta, FusionParams, reps_fwd, tier_inputs, trainable_param_count
+from .representative import FusionParams, reps_fwd, tier_inputs, trainable_param_count
 
 __version__ = "0.1.0"

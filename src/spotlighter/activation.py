@@ -36,13 +36,10 @@ def semantic_scores(visual_tokens: np.ndarray, class_protos: np.ndarray) -> np.n
     return cosine_matrix(visual_tokens, class_protos).max(axis=-1)
 
 
-def combine_scores(sample: np.ndarray, semantic: np.ndarray | None,
-                   semantic_on: bool) -> np.ndarray:
-    if semantic_on:
-        if semantic is None:
-            raise ValueError("semantic scores required when semantic_on")
-        return sample + semantic
-    return sample.copy()
+def combine_scores(sample: np.ndarray, semantic: np.ndarray | None) -> np.ndarray:
+    """Sample plus semantic scores; the sample scores alone when the semantic
+    view is off (None)."""
+    return sample if semantic is None else sample + semantic
 
 
 def _order_desc(scores: np.ndarray) -> np.ndarray:

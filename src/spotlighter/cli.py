@@ -21,14 +21,15 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import RunConfig, parse_config_file, parse_value
+from .activation import VARIANTS
+from .config import TIER_MODES, RunConfig, parse_config_file, parse_value
 from .errors import ConfigError, SpotlighterError
 from .features import generate_base_novel, read_features, write_features
+from .memory_bank import INIT_RANDOM, INIT_TEXT
 from .pipeline import (
     bench_throughput,
     evaluate,
     gradcheck_total_loss,
-    harmonic_mean,
     load_state,
     make_eval_class_set,
     predict_batch,
@@ -107,7 +108,7 @@ def cmd_train(args) -> int:
         "epochs": cfg.epochs,
         "history": state.history,
         "final_train_acc": round(final_acc, 2),
-        "trainable_param_count": state.trainable_params,
+        "trainable_param_count": state.params.n_params(),
         "checkpoint": args.out,
     }
     print(json.dumps(report, sort_keys=True))
@@ -138,10 +139,10 @@ def cmd_eval(args) -> int:
 
 _ABLATION_GRID = {
     "semantic_on": (True, False),
-    "init_mode": ("text", "random"),
+    "init_mode": (INIT_TEXT, INIT_RANDOM),
     "recalc_on": (True, False),
-    "selection_variant": ("top-k", "bottom-k", "remove-top-k"),
-    "tier_mode": ("both", "lev1", "lev2"),
+    "selection_variant": VARIANTS,
+    "tier_mode": TIER_MODES,
 }
 
 _ABLATION_COLUMNS = (
@@ -166,13 +167,13 @@ def _tier_rows(base_cfg: RunConfig, cell: dict, base_train, base_test, novel_tes
     """
     try:
         state = train(base_cfg.with_overrides(**cell, tier_mode="both"), base_train)
+        ctx = make_eval_class_set(state, base_test.text_embeddings, True)  # for the timing
     except Exception as exc:  # the cell's three rows share the failure
-        return [_failed(exc)] * len(_ABLATION_GRID["tier_mode"])
+        return [_failed(exc)] * len(TIER_MODES)
     out = []
-    for tier_mode in _ABLATION_GRID["tier_mode"]:
+    for tier_mode in TIER_MODES:
         try:
             metrics = evaluate(state, base_test, novel_test, tier_mode=tier_mode)
-            ctx = make_eval_class_set(state, base_test.text_embeddings, True)
             times = []
             for _ in range(3):
                 t0 = time.perf_counter()
@@ -200,12 +201,12 @@ def cmd_ablate(args) -> int:
     # the grid's last axis, so the rows keep the product order
     names = list(_ABLATION_GRID)[:-1]
     cells = list(itertools.product(*(_ABLATION_GRID[n] for n in names)))
-    n_rows = len(cells) * len(_ABLATION_GRID["tier_mode"])
+    n_rows = len(cells) * len(TIER_MODES)
     rows = []
     for values in cells:
         cell = dict(zip(names, values))
         results = _tier_rows(base_cfg, cell, base_train, base_test, novel_test)
-        for tier_mode, result in zip(_ABLATION_GRID["tier_mode"], results):
+        for tier_mode, result in zip(TIER_MODES, results):
             row = {k: str(v) for k, v in cell.items()}
             row.update(tier_mode=tier_mode, **result)
             rows.append(row)
@@ -223,8 +224,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _build_config(args, extra_defaults=_GRADCHECK_DEFAULTS)
-    report = gradcheck_total_loss(cfg, n_seeds=args.seeds, eps=args.eps,
-                                  corrupt=args.corrupt_gradient)
+    report = gradcheck_total_loss(cfg, n_seeds=args.seeds, eps=args.eps)
     for name, err in report["per_group"].items():
         print(f"{name:<14} worst {err:.3e}")
     print(f"max relative error over {report['seeds']} seeds: "
@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--base", required=True, help="base-test feature file")
     p.add_argument("--novel", required=True, help="novel-test feature file")
-    p.add_argument("--tier", choices=("both", "lev1", "lev2"), default=None,
+    p.add_argument("--tier", choices=TIER_MODES, default=None,
                    help="override inference tier mode")
     p.set_defaults(run=cmd_eval)
 
@@ -302,8 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--seeds", type=int, default=100, help="[100]")
     p.add_argument("--eps", type=float, default=1e-5, help="[1e-5]")
-    p.add_argument("--corrupt-gradient", action="store_true",
-                   help=argparse.SUPPRESS)
     p.set_defaults(run=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="throughput/accuracy sweep over k")
@@ -326,7 +324,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; keep 0 for --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.run(args)
+        # every non-finite outcome raises, so numpy's warnings would only
+        # repeat the one error line
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except (SpotlighterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_DATA)  # an OSError is a data error

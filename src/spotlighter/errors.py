@@ -91,9 +91,5 @@ class NonPositiveTemperature(NumericError):
     """Softmax/scaling temperature must be strictly positive."""
 
 
-class NotADistribution(NumericError):
-    """Input does not sum to one or has negative entries."""
-
-
 class NonFiniteLoss(NumericError):
     """A loss or objective evaluated to NaN/Inf."""

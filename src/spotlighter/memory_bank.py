@@ -91,15 +91,19 @@ def init_bank(text_embeddings: np.ndarray, n_prototypes: int, mode: str,
     return MemoryBank(raw / norms, beta=beta, init_mode=mode)
 
 
+def _class_scores(queries: np.ndarray, bank: MemoryBank) -> np.ndarray:
+    """(n, C) best prototype cosine of each query row for each category."""
+    sims = cosine_matrix(queries, bank.prototypes.reshape(-1, bank.d))
+    return sims.reshape(-1, bank.n_classes, bank.n_prototypes).max(axis=-1)
+
+
 def match_class(pooled_visual: np.ndarray, bank: MemoryBank):
     """Category whose best prototype is most cosine-similar to the query.
 
     A (d,) query gives an int; (N, d) queries give an (N,) array. Ties break
     to the lowest category index.
     """
-    sims = cosine_matrix(pooled_visual, bank.prototypes.reshape(-1, bank.d))
-    per_class = sims.reshape(-1, bank.n_classes, bank.n_prototypes).max(axis=-1)
-    best = np.argmax(per_class, axis=-1)
+    best = np.argmax(_class_scores(pooled_visual, bank), axis=-1)
     return int(best[0]) if np.ndim(pooled_visual) == 1 else best
 
 
@@ -153,8 +157,6 @@ def local_loss(bank: MemoryBank, tok_act: np.ndarray, label: int,
     """
     if not 0 <= label < bank.n_classes:
         raise LabelOutOfRange(f"label {label} of {bank.n_classes}")
-    sims = cosine_matrix(tok_act, bank.prototypes.reshape(-1, bank.d))
-    per_class = sims.reshape(-1, bank.n_classes, bank.n_prototypes).max(axis=2).mean(axis=0)
-    z = per_class / temperature
+    z = _class_scores(tok_act, bank).mean(axis=0) / temperature
     m = float(z.max())
     return float(np.log(np.exp(z - m).sum()) + m - z[label])

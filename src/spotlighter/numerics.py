@@ -1,6 +1,6 @@
 """Dense numerical kernel: normalization, similarity, softmax, pre-LN
-transformer blocks with exact analytic backward passes, divergences, and
-finite-difference gradient verification.
+transformer blocks with exact analytic backward passes, and finite-difference
+gradient verification.
 
 Everything is float64 and pure-numpy. The block has one forward pass:
 
@@ -20,8 +20,8 @@ takes the row axis as its only sum: stacked weights get one gradient per
 weight set.
 
 The backward pass is hand-derived (layer norm included in full, not the
-diagonal approximation); ``grad_check`` is the verification harness used by
-the test suite and the CLI.
+diagonal approximation); ``finite_difference_errors`` is the verification
+harness used by the test suite and the CLI.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import (
-    DimMismatch,
-    NonFiniteLoss,
-    NonPositiveTemperature,
-    NotADistribution,
-    ZeroVector,
-)
+from .errors import DimMismatch, NonFiniteLoss, NonPositiveTemperature, NumericError, ZeroVector
 from .rng import Stream
 
 _NORM_FLOOR = 1e-12
@@ -48,21 +42,14 @@ _LN_EPS = 1e-5
 # elementary operations
 # --------------------------------------------------------------------------
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Scale a vector to unit Euclidean norm. Raises ZeroVector below 1e-12."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise ZeroVector("empty vector")
-    n = float(np.linalg.norm(v))
-    if n < _NORM_FLOOR:
-        raise ZeroVector(f"norm {n:g} below {_NORM_FLOOR:g}")
-    return v / n
-
-
 def normalize_rows(A: np.ndarray) -> np.ndarray:
-    """Unit-normalize each row; ZeroVector if any row is degenerate."""
+    """Unit-normalize each row; ZeroVector if any row is degenerate, and
+    NumericError if a norm is not finite (a NaN entry, or an overflow that
+    would turn the row into zeros)."""
     A = np.asarray(A, dtype=np.float64)
     norms = np.linalg.norm(A, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise NumericError("non-finite row norm")
     if np.any(norms < _NORM_FLOOR):
         raise ZeroVector("zero row in matrix")
     return A / norms
@@ -90,22 +77,6 @@ def softmax_rows(X: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     with np.errstate(over="ignore"):
         e = np.exp((X - X.max(axis=-1, keepdims=True)) / temperature)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) in nats; q is clamped at 1e-12 before the log."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DimMismatch(f"shapes differ: {p.shape} vs {q.shape}")
-    for name, dist in (("p", p), ("q", q)):
-        if abs(float(dist.sum()) - 1.0) > 1e-6:
-            raise NotADistribution(f"{name} sums to {dist.sum():.9f}")
-        if np.any(dist < -1e-9):
-            raise NotADistribution(f"{name} has negative entries")
-    qc = np.maximum(q, 1e-12)
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, 1e-300)) - np.log(qc)), 0.0)
-    return float(terms.sum())
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -409,8 +380,3 @@ def finite_difference_errors(f, x0: np.ndarray, analytic: np.ndarray,
         fd = (f_plus - f_minus) / (2.0 * eps)
         errors[i] = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
     return errors
-
-
-def grad_check(f, x0: np.ndarray, analytic: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative disagreement between analytic and central differences."""
-    return float(finite_difference_errors(f, x0, analytic, eps).max())

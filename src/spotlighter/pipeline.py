@@ -15,18 +15,19 @@ probe calls the cache-free `reps_fwd` and `losses_value`, which shares its
 forward with `losses_fwd_bwd`, so the check has no copy of the objective.
 
 Inference has one path, `predict_batch`, which walks the items in chunks of
-`_CHUNK`; `predict` is a batch of one. A chunk runs the training stage
-functions over its item axis: `match_class` identifies the category against
-a zero-jitter matching bank built from the split's text embeddings under the
-configured init mode; the trained bank (base split) or the same on-the-fly
-bank (novel split) then supplies prototypes for scoring, stratification and
-the cache-free `reps_fwd`, and a pooled cosine head classifies.
+`_CHUNK`; one item is a batch of one, `X[None]`. A chunk runs the training
+stage functions over its item axis: `match_class` identifies the category
+against a zero-jitter matching bank built from the split's text embeddings
+under the configured init mode; the trained bank (base split) or the same
+on-the-fly bank (novel split) then supplies prototypes for scoring,
+stratification and the cache-free `reps_fwd`, and a pooled cosine head
+classifies.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,10 +55,10 @@ from .errors import (
 from .features import FeatureSet, generate_base_novel
 from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, match_class,
                           momentum_update)
-from .numerics import block_param_count, finite_difference_errors, normalize_rows, softmax_rows
-from .objectives import LossWeights, loss_item, losses_fwd_bwd, losses_value
-from .representative import (FrozenTheta, FusionParams, reps_bwd, reps_fwd, tier_inputs,
-                             trainable_param_count)
+from .numerics import (TransformerBlockParams, block_param_count, finite_difference_errors,
+                       normalize_rows, softmax_rows)
+from .objectives import LossBreakdown, LossWeights, loss_item, losses_fwd_bwd, losses_value
+from .representative import FusionParams, reps_bwd, reps_fwd, tier_inputs, trainable_param_count
 from .rng import Stream
 
 CKPT_MAGIC = b"SPOTCKPT"
@@ -82,14 +83,10 @@ _TAG_GRADCHECK = 105
 @dataclass
 class TrainedState:
     params: FusionParams
-    theta: FrozenTheta
+    theta: TransformerBlockParams  # the frozen block
     bank: MemoryBank
     config: RunConfig
     history: list = field(default_factory=list)
-
-    @property
-    def trainable_params(self) -> int:
-        return self.params.n_params()
 
 
 @dataclass
@@ -165,9 +162,8 @@ def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     The non-trainable stage of one labeled item; returns (updated bank,
     `reps_fwd` tiers, local loss).
     """
-    samp = sample_scores(X, text[label])
     sem = semantic_scores(X, bank.prototypes[label]) if cfg.semantic_on else None
-    combined = combine_scores(samp, sem, cfg.semantic_on)
+    combined = combine_scores(sample_scores(X, text[label]), sem)
     selected = select_activated(combined, cfg.k_act, cfg.selection_variant)
     tok_act = X[selected]
 
@@ -190,7 +186,7 @@ def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_mode: s
 
 
 def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
-                params: FusionParams, theta: FrozenTheta, cfg: RunConfig,
+                params: FusionParams, theta: TransformerBlockParams, cfg: RunConfig,
                 weights: LossWeights):
     """One optimizer step; returns (updated bank, LossBreakdown)."""
     bank, tiers, local = _front_end(X, label, bank, text, cfg)
@@ -220,8 +216,8 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
     text = np.asarray(train_set.text_embeddings, dtype=np.float64)
     bank = init_bank(text, config.n_proto, config.init_mode, config.bank_sigma,
                      seed=root.child(_TAG_BANK).seed, beta=config.beta)
-    theta = FrozenTheta.init(config.d, config.heads, root.child(_TAG_THETA),
-                             ffn_mult=config.ffn_mult, scale=config.init_scale)
+    theta = TransformerBlockParams.random(config.d, config.heads, root.child(_TAG_THETA),
+                                          ffn_mult=config.ffn_mult, scale=config.init_scale)
     params = FusionParams.init(config.d, config.heads, root.child(_TAG_FUSION),
                                ffn_mult=config.ffn_mult, alpha=config.alpha,
                                scale=config.init_scale)
@@ -232,7 +228,7 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
     labels = np.asarray(train_set.labels, dtype=np.int64)
     state = TrainedState(params=params, theta=theta, bank=bank, config=config)
 
-    keys = ("cls", "cls_low", "cls_high", "reg_text", "kl_visual", "local", "total")
+    keys = [f.name for f in fields(LossBreakdown)]
     for epoch in range(config.epochs):
         order = shuffle_root.child(epoch).permutation(train_set.n_items)
         sums = dict.fromkeys(keys, 0.0)
@@ -255,20 +251,6 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
 # --------------------------------------------------------------------------
 # prediction
 # --------------------------------------------------------------------------
-
-def predict(tokens: np.ndarray, state: TrainedState, class_set: EvalClassSet,
-            k: int | None = None, tier_mode: str | None = None):
-    """Label-free pruned classification of one (n_tok, d) item.
-
-    Returns (category id, probability vector over the split's classes);
-    ties resolve to the lowest class index.
-    """
-    X = np.asarray(tokens, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimMismatch(f"one item must be (n_tok, d), got shape {X.shape}")
-    preds, probs = predict_batch(X[None], state, class_set, k, tier_mode)
-    return int(preds[0]), probs[0]
-
 
 def predict_batch(tokens: np.ndarray, state: TrainedState,
                   class_set: EvalClassSet, k: int | None = None,
@@ -302,7 +284,7 @@ def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
     c_hat = match_class(X.mean(axis=1), class_set.matching_bank)
     protos = class_set.fusion_bank.prototypes[c_hat]
     sem = semantic_scores(X, protos) if cfg.semantic_on else None
-    combined = combine_scores(sample_scores(X, class_set.text[c_hat]), sem, cfg.semantic_on)
+    combined = combine_scores(sample_scores(X, class_set.text[c_hat]), sem)
     selected = np.stack([select_activated(row, k, cfg.selection_variant)
                          for row in combined])
     tier1, tier2 = stratify(selected, combined, X, protos, cfg.recalc_on)
@@ -478,15 +460,14 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
     note = ("trainable_param_count is the exact number of trainable tensor "
             "entries at the configured widths")
     return ThroughputReport(rows=rows, full_row=full, n_items=actual, reps=reps,
-                            trainable_param_count=state.trainable_params, note=note)
+                            trainable_param_count=state.params.n_params(), note=note)
 
 
 # --------------------------------------------------------------------------
 # gradient-check harness
 # --------------------------------------------------------------------------
 
-def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
-                         corrupt: bool = False) -> dict:
+def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5) -> dict:
     """Finite-difference verification of the full objective's gradients.
 
     For each seed a tiny episode is generated, the non-trainable stage
@@ -496,9 +477,7 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
     forward (`_fast_objective`). Parameter draws that would place a
     text-regularizer entry within finite-difference reach of the absolute-
     value kink (or a pooled norm near zero) are deterministically redrawn,
-    since the comparison is undefined at nondifferentiable points. The
-    `corrupt` hook perturbs one analytic coordinate to prove the harness
-    notices.
+    since the comparison is undefined at nondifferentiable points.
     """
     cfg.validate()
     if cfg.d > 16:
@@ -526,8 +505,8 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
         bank = init_bank(text, cfg.n_proto, cfg.init_mode, cfg.bank_sigma,
                          seed=case.child(1).seed, beta=cfg.beta)
         bank, tiers, local = _front_end(X, label, bank, text, cfg)
-        theta = FrozenTheta.init(cfg.d, cfg.heads, case.child(2),
-                                 ffn_mult=cfg.ffn_mult, scale=cfg.init_scale)
+        theta = TransformerBlockParams.random(cfg.d, cfg.heads, case.child(2),
+                                              ffn_mult=cfg.ffn_mult, scale=cfg.init_scale)
         protos = bank.prototypes[label]
 
         params, V_list, R_list, cache = _draw_kink_safe_params(cfg, case, tiers, protos,
@@ -536,8 +515,6 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
         item = loss_item(text, X, len(tiers), local, label)
         _, dV, dR = losses_fwd_bwd(V_list, R_list, item, weights)
         analytic = reps_bwd(cache, dV, dR).flatten()
-        if corrupt:
-            analytic[0] += 1e-2
 
         objective = _fast_objective(params, tiers, protos, theta, item, weights)
         errors = finite_difference_errors(objective, x0, analytic, eps)
@@ -556,7 +533,7 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5,
     }
 
 
-def _fast_objective(params: FusionParams, tiers, protos, theta: FrozenTheta,
+def _fast_objective(params: FusionParams, tiers, protos, theta: TransformerBlockParams,
                     item, weights: LossWeights):
     """Value-only total-loss closure for finite-difference probing: the
     training forward, cache-free, on parameters that view one flat buffer
@@ -572,7 +549,7 @@ def _fast_objective(params: FusionParams, tiers, protos, theta: FrozenTheta,
 
 
 def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
-                           theta: FrozenTheta, eps: float):
+                           theta: TransformerBlockParams, eps: float):
     """Sample fusion parameters whose neighborhood is differentiable.
 
     Redraws (deterministically) while any |rep - text| entry sits within a
@@ -604,7 +581,7 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
 
 def _state_tensors(state: TrainedState):
     out = list(state.params.tensors())
-    out.extend((f"theta.{name}", arr) for name, arr in state.theta.block.tensors())
+    out.extend((f"theta.{name}", arr) for name, arr in state.theta.tensors())
     out.append(("bank.prototypes", state.bank.prototypes))
     return out
 
@@ -645,7 +622,7 @@ def load_state(path) -> TrainedState:
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")
     state = TrainedState(
         params=FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha),
-        theta=FrozenTheta.zeros(cfg.d, cfg.heads, cfg.ffn_mult),
+        theta=TransformerBlockParams.zeros(cfg.d, cfg.heads, cfg.ffn_mult),
         bank=MemoryBank(np.zeros((len(arrays[-1]), cfg.n_proto, cfg.d)),
                         beta=cfg.beta, init_mode=cfg.init_mode),
         config=cfg, history=header["history"])

@@ -3,9 +3,10 @@
 Visual side: one trainable cross-attention block per tier takes the class
 prototypes as queries and the tier tokens as keys/values; the fused
 prototypes are then concatenated with the tier tokens and passed through a
-frozen, seeded transformer block (full self-attention), whose first K output
-rows are the representative visual tokens. The two IRM blocks are stored
-stacked on a leading tier axis.
+frozen, seeded transformer block (full self-attention; `theta`, a plain
+`TransformerBlockParams` that nothing trains), whose first K output rows are
+the representative visual tokens. The two IRM blocks are stored stacked on a
+leading tier axis.
 
 Text side: every class text token attends over the tier tokens with a
 temperature-scaled cosine softmax and is concatenated with the weighted
@@ -130,26 +131,6 @@ class FusionParams:
         return cls(irm=irm, trm_w=np.zeros((2 * d, d)), trm_b=np.zeros(d), alpha=alpha)
 
 
-@dataclass
-class FrozenTheta:
-    """Seeded transformer block, frozen after initialization."""
-
-    block: TransformerBlockParams
-
-    def to_bytes(self) -> bytes:
-        return self.block.to_bytes()
-
-    @classmethod
-    def init(cls, d: int, n_heads: int, stream: Stream, *, ffn_mult: int = 2,
-             scale: float = 0.05) -> "FrozenTheta":
-        return cls(TransformerBlockParams.random(d, n_heads, stream,
-                                            ffn_mult=ffn_mult, scale=scale))
-
-    @classmethod
-    def zeros(cls, d: int, n_heads: int, ffn_mult: int = 2) -> "FrozenTheta":
-        return cls(TransformerBlockParams.zeros(d, n_heads, ffn_mult))
-
-
 def trainable_param_count(d: int, ffn_mult: int = 2) -> int:
     """Analytic count of trainable tensor entries at the configured widths."""
     return 2 * block_param_count(d, ffn_mult) + 2 * d * d + d
@@ -189,7 +170,7 @@ def _tier_groups(tiers, batched: bool):
 
 
 def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
-             theta: FrozenTheta, *, keep_cache: bool = True):
+             theta: TransformerBlockParams, *, keep_cache: bool = True):
     """Run IRM -> frozen block -> TRM per tier of `tier_inputs`.
 
     Returns (V_list, R_list, cache): one (K, d) visual and one (C, d) text
@@ -214,7 +195,7 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
         fused, irm_cache = block(protos[..., None, :, :], tokens,
                                  params.irm[first : first + T])
         seq = np.concatenate([fused, tokens], axis=-2)
-        out, theta_cache = block(seq, seq, theta.block)
+        out, theta_cache = block(seq, seq, theta)
         for i, (_, _, Z) in enumerate(group):
             V_list.append(out[..., i, :K, :])
             R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + Z[..., :d])

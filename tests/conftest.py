@@ -3,6 +3,7 @@ import pytest
 
 from spotlighter.config import RunConfig
 from spotlighter.features import generate_base_novel
+from spotlighter import pipeline
 from spotlighter.pipeline import train
 
 # small everywhere: keeps the unit suite fast while exercising both tiers
@@ -31,3 +32,17 @@ def tiny_state(tiny_config, tiny_episode):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)
+
+
+@pytest.fixture()
+def corrupt_gradient(monkeypatch):
+    """Shift the first coordinate of every analytic fusion gradient by 1e-2,
+    a fault the gradient check must notice."""
+    exact = pipeline.reps_bwd
+
+    def shifted(*args):
+        grads = exact(*args)
+        grads.irm.wq[0, 0, 0] += 1e-2  # irm0.wq[0, 0], flatten()[0]
+        return grads
+
+    monkeypatch.setattr(pipeline, "reps_bwd", shifted)

@@ -17,7 +17,7 @@ from spotlighter.cli import EXIT_OK, main
 from spotlighter.config import RunConfig
 from spotlighter.features import generate_base_novel
 from spotlighter.memory_bank import assign_tokens, init_bank, match_class, momentum_update
-from spotlighter.numerics import normalize_rows
+from spotlighter.numerics import TransformerBlockParams, normalize_rows
 from spotlighter.pipeline import (
     bench_throughput,
     evaluate,
@@ -26,7 +26,7 @@ from spotlighter.pipeline import (
     save_state,
     train,
 )
-from spotlighter.representative import FrozenTheta, FusionParams, reps_fwd, tier_inputs
+from spotlighter.representative import FusionParams, reps_fwd, tier_inputs
 
 from .reference_impls import ref_cosine, ref_topk_indices
 
@@ -122,7 +122,7 @@ def test_criterion_4_residual_identity_and_frozen_bank():
     text = normalize_rows(rng.normal(size=(10, d)))
     tiers = [(0, rng.normal(size=(8, d))), (1, rng.normal(size=(8, d)))]
     params = FusionParams.zeros(d, 4, alpha=0.0)
-    theta = FrozenTheta.zeros(d, 4)
+    theta = TransformerBlockParams.zeros(d, 4)
     V, R, _ = reps_fwd(tier_inputs(tiers, text, 0.01), protos, params, theta)
     identity_ok = (np.array_equal(np.vstack(V), np.vstack([protos, protos]))
                    and np.array_equal(np.vstack(R), np.vstack([text, text])))

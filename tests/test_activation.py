@@ -70,8 +70,8 @@ def test_semantic_scores_match_max_oracle(rng):
 def test_combined_is_exact_sum(rng):
     a = rng.normal(size=10)
     b = rng.normal(size=10)
-    assert np.array_equal(combine_scores(a, b, True), a + b)
-    assert np.array_equal(combine_scores(a, None, False), a)
+    assert np.array_equal(combine_scores(a, b), a + b)
+    assert np.array_equal(combine_scores(a, None), a)
 
 
 # --- selection ---------------------------------------------------------------------

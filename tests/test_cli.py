@@ -188,10 +188,15 @@ def test_gradcheck_default_passes(capsys, workdir):
     assert "trm.w" in out and "irm0.wq" in out  # per-group report lines
 
 
-def test_gradcheck_corruption_hook_fails(capsys, workdir):
-    code, out, _ = run(capsys, "gradcheck", "--seeds", "1", "--corrupt-gradient")
+def test_gradcheck_corruption_hook_fails(capsys, workdir, corrupt_gradient):
+    code, out, _ = run(capsys, "gradcheck", "--seeds", "1")
     assert code == EXIT_NUMERIC
     assert json.loads(out.strip().splitlines()[-1])["passed"] is False
+
+
+def test_corrupt_gradient_flag_is_unknown(capsys, workdir):
+    code, _, _ = run(capsys, "gradcheck", "--seeds", "1", "--corrupt-gradient")
+    assert code == EXIT_USAGE
 
 
 def test_gradcheck_rejects_wide_model(capsys, workdir):

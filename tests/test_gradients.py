@@ -10,13 +10,12 @@ from spotlighter.memory_bank import init_bank
 from spotlighter.numerics import (
     TransformerBlockParams,
     finite_difference_errors,
-    grad_check,
     transformer_block_bwd,
     transformer_block_fwd,
 )
 from spotlighter.objectives import _contrastive_bwd, _contrastive_fwd, loss_item, losses_fwd_bwd
 from spotlighter.pipeline import _fast_objective, _front_end, gradcheck_total_loss
-from spotlighter.representative import FrozenTheta, FusionParams, reps_fwd
+from spotlighter.representative import FusionParams, reps_fwd
 from spotlighter.rng import Stream
 
 
@@ -74,7 +73,7 @@ def test_contrastive_gradients_on_two_class_toy():
         val, _ = _contrastive_fwd(v, rows, label, tau)
         return val
 
-    assert grad_check(objective, x0, analytic, 1e-5) < 1e-4
+    assert finite_difference_errors(objective, x0, analytic, 1e-5).max() < 1e-4
 
 
 def test_total_loss_gradients_with_reference_weights():
@@ -106,7 +105,7 @@ def test_probe_value_is_the_training_total(k_act, n_tiers):
     assert len(tiers) == n_tiers
     protos = bank.prototypes[label]
     params = FusionParams.init(cfg.d, cfg.heads, Stream(4), alpha=cfg.alpha, scale=0.1)
-    theta = FrozenTheta.init(cfg.d, cfg.heads, Stream(5))
+    theta = TransformerBlockParams.random(cfg.d, cfg.heads, Stream(5))
     V, R, _ = reps_fwd(tiers, protos, params, theta)
     item = loss_item(text, X, len(tiers), local, label)
     want = losses_fwd_bwd(V, R, item, cfg.loss_weights())[0].total
@@ -114,11 +113,12 @@ def test_probe_value_is_the_training_total(k_act, n_tiers):
     assert objective(params.flatten()) == want
 
 
-def test_gradcheck_detects_corruption():
+def test_gradcheck_detects_corruption(corrupt_gradient):
     cfg = RunConfig(d=4, n_tok=8, n_classes=3, signal_tokens=2, k_act=4,
                     n_proto=2, heads=2, shots=1, test_per_class=1, epochs=0)
-    report = gradcheck_total_loss(cfg, n_seeds=1, corrupt=True)
+    report = gradcheck_total_loss(cfg, n_seeds=1)
     assert not report["passed"]
+    assert report["per_group"]["irm0.wq"] > 1e-4 > report["per_group"]["trm.w"]
 
 
 def test_gradcheck_rejects_large_width():
@@ -135,4 +135,4 @@ def test_grad_check_raises_on_non_finite():
         return float("nan")
 
     with pytest.raises(NonFiniteLoss):
-        grad_check(bad, np.zeros(2), np.zeros(2))
+        finite_difference_errors(bad, np.zeros(2), np.zeros(2))

@@ -7,7 +7,11 @@ import copy
 import inspect
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,6 +21,7 @@ from spotlighter import errors
 from spotlighter.cli import main
 from spotlighter.config import RunConfig, parse_value
 from spotlighter.errors import ConfigError, DataError, NumericError, SpotlighterError, UsageError
+from spotlighter.pipeline import load_state, save_state
 
 TINY_FLAGS = ["--d", "16", "--n-tok", "8", "--n-classes", "3",
               "--signal-tokens", "2", "--distractor-pool", "6",
@@ -30,7 +35,7 @@ EXIT_CODES = {
     "WorkloadTooSmall": 1,
     "BadMagic": 2, "TruncatedFile": 2, "HeaderMismatch": 2, "VersionMismatch": 2,
     "DimMismatch": 2, "LabelOutOfRange": 2, "EmptySplit": 2, "EmptySelection": 2,
-    "NonFiniteLoss": 3, "NotADistribution": 3, "ZeroVector": 3,
+    "NonFiniteLoss": 3, "ZeroVector": 3,
     "NonPositiveTemperature": 3,
 }
 FAMILIES = (UsageError, DataError, NumericError)
@@ -281,3 +286,41 @@ def test_command_flags_fail_cleanly(files, tmp_path, argv, needle):
     code, err = run_main(*argv)
     assert code == 1 and needle in err, err
     assert_clean_exit(code, err)
+
+
+# --- numeric failures, in a process of their own -----------------------------------
+# (pytest captures warnings in-process, which would hide numpy's stray lines)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(*argv):
+    """(exit code, stderr) of `python -m spotlighter.cli` in a fresh process."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "spotlighter.cli", *map(str, argv)],
+                            capture_output=True, text=True, timeout=300,
+                            env={**os.environ, "PYTHONPATH": pythonpath})
+    return result.returncode, result.stderr
+
+
+def test_overflowing_checkpoint_weights_fail_eval(files, tmp_path):
+    # finite weights whose outputs overflow must fail, not turn every
+    # probability row uniform and every prediction into class 0
+    (tmp_path / "ckpt.bin").write_bytes(files["checkpoint"])
+    state = load_state(tmp_path / "ckpt.bin")
+    state.params.trm_w[...] = 1e300
+    save_state(state, tmp_path / "big.bin")
+    for role in ("base", "novel"):
+        (tmp_path / f"{role}.spot").write_bytes(files[role])
+    code, err = run_process("eval", "--checkpoint", tmp_path / "big.bin",
+                            "--base", tmp_path / "base.spot", "--novel", tmp_path / "novel.spot")
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def test_overflowing_init_scale_fails_train_with_one_line(files, tmp_path):
+    (tmp_path / "train.spot").write_bytes(files["base"])
+    code, err = run_process("train", *TINY_FLAGS, "--epochs", "1", "--init-scale", "1e200",
+                            "--train", tmp_path / "train.spot", "--out", tmp_path / "c.bin")
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err

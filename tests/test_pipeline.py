@@ -27,7 +27,7 @@ from spotlighter.errors import (
 )
 from spotlighter.features import FeatureSet, generate_base_novel
 from spotlighter.memory_bank import match_class
-from spotlighter.numerics import l2_normalize, normalize_rows, softmax_rows
+from spotlighter.numerics import normalize_rows, softmax_rows
 from spotlighter.pipeline import (
     _CHUNK,
     _state_tensors,
@@ -37,7 +37,6 @@ from spotlighter.pipeline import (
     harmonic_mean,
     load_state,
     make_eval_class_set,
-    predict,
     predict_batch,
     save_state,
     split_accuracy,
@@ -74,7 +73,7 @@ def test_zero_epochs_initialized_empty_history(tiny_config, tiny_episode):
     base_train, _, _ = tiny_episode
     state = train(tiny_config.with_overrides(epochs=0), base_train)
     assert state.history == []
-    assert state.trainable_params > 0
+    assert state.params.n_params() > 0
 
 
 def test_training_leaves_frozen_parts_untouched(tiny_config, tiny_episode):
@@ -161,29 +160,29 @@ def test_predict_separable_item(tiny_config):
     state = train(cfg, base_train)
     ctx = make_eval_class_set(state, base_test.text_embeddings, True)
     for i in range(base_test.n_items):
-        pred, probs = predict(base_test.tokens[i].astype(float), state, ctx)
-        assert pred == int(base_test.labels[i])
-        assert abs(probs.sum() - 1.0) < 1e-9
+        pred, probs = predict_batch(base_test.tokens[i][None], state, ctx)
+        assert pred[0] == int(base_test.labels[i])
+        assert abs(probs[0].sum() - 1.0) < 1e-9
 
 
 def test_predict_probability_contract(tiny_state, tiny_episode):
     _, base_test, _ = tiny_episode
     ctx = make_eval_class_set(tiny_state, base_test.text_embeddings, True)
-    pred, probs = predict(base_test.tokens[0].astype(float), tiny_state, ctx)
-    assert probs.shape == (base_test.n_classes,)
+    pred, probs = predict_batch(base_test.tokens[0][None], tiny_state, ctx)
+    assert probs.shape == (1, base_test.n_classes)
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) < 1e-9
-    assert pred == int(np.argmax(probs))
+    assert pred[0] == int(np.argmax(probs))
 
 
 def composed_predict(X, state, ctx, tier_mode=None):
     """One item through a by-hand composition of the stage operations."""
     cfg = state.config
     tier_mode = cfg.tier_mode if tier_mode is None else tier_mode
-    c_hat = match_class(l2_normalize(X.mean(axis=0)), ctx.matching_bank)
+    c_hat = match_class(normalize_rows(X.mean(axis=0)), ctx.matching_bank)
     protos = ctx.fusion_bank.prototypes[c_hat]
     combined = combine_scores(sample_scores(X, ctx.text[c_hat]),
-                              semantic_scores(X, protos), cfg.semantic_on)
+                              semantic_scores(X, protos) if cfg.semantic_on else None)
     sel = select_activated(combined, cfg.k_act, cfg.selection_variant)
     t1, t2 = stratify(sel, combined, X, protos, cfg.recalc_on)
     if tier_mode == "lev1":
@@ -194,7 +193,7 @@ def composed_predict(X, state, ctx, tier_mode=None):
         tiers = [(0, X[t1])] + ([(1, X[t2])] if t2.size else [])
     V, R, _ = reps_fwd(tier_inputs(tiers, ctx.text, cfg.tau), protos, state.params,
                        state.theta)
-    v = l2_normalize(np.vstack(V).mean(axis=0))
+    v = normalize_rows(np.vstack(V).mean(axis=0))
     Tp = normalize_rows(np.stack(R, axis=1).mean(axis=1))
     probs = softmax_rows(Tp @ v, cfg.tau)
     return int(np.argmax(probs)), probs
@@ -237,15 +236,16 @@ def test_predict_batch_crosses_chunk_boundaries(tiny_state, tiny_config):
 
 
 def test_predict_matches_independent_composition(tiny_state, tiny_episode):
-    """Five items through predict and through the by-hand composition."""
+    """Five items, each a batch of one, through predict_batch and through
+    the by-hand composition."""
     _, base_test, _ = tiny_episode
     ctx = make_eval_class_set(tiny_state, base_test.text_embeddings, True)
     for i in range(5):
         X = base_test.tokens[i].astype(float)
         want, want_probs = composed_predict(X, tiny_state, ctx)
-        got, got_probs = predict(X, tiny_state, ctx)
-        assert got == want
-        assert np.abs(got_probs - want_probs).max() < 1e-12
+        got, got_probs = predict_batch(X[None], tiny_state, ctx)
+        assert got[0] == want
+        assert np.abs(got_probs[0] - want_probs).max() < 1e-12
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -270,7 +270,7 @@ def test_predict_batch_rejects_k_out_of_range(tiny_state, tiny_episode, variant)
         with pytest.raises(KOutOfRange):
             predict_batch(base_test.tokens, state, ctx, k=k)
         with pytest.raises(KOutOfRange):
-            predict(base_test.tokens[0], state, ctx, k=k)
+            predict_batch(base_test.tokens[:1], state, ctx, k=k)
 
 
 def test_predict_batch_empty_batch(tiny_state, tiny_episode):
@@ -306,7 +306,7 @@ def test_config_variants_train_and_evaluate(tiny_config, tiny_episode):
     state = train(cfg, base_train)
     m = evaluate(state, base_test, novel_test)
     assert np.isfinite(m.harmonic)
-    assert state.trainable_params == trainable_param_count(cfg.d, cfg.ffn_mult)
+    assert state.params.n_params() == trainable_param_count(cfg.d, cfg.ffn_mult)
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -332,7 +332,7 @@ def test_evaluate_hand_tally(tiny_state, tiny_episode):
     hits = 0
     per = {c: [0, 0] for c in range(sub.n_classes)}
     for i in range(10):
-        pred, _ = predict(sub.tokens[i].astype(float), tiny_state, ctx)
+        pred = predict_batch(sub.tokens[i][None], tiny_state, ctx)[0][0]
         y = int(sub.labels[i])
         hits += pred == y
         per[y][1] += 1
@@ -445,7 +445,7 @@ def test_bench_report_contract(tiny_state):
     for row in rep.rows + [rep.full_row]:
         assert row.items_per_sec > 0
         assert len(row.rep_times) == 2
-    assert rep.trainable_param_count == tiny_state.trainable_params
+    assert rep.trainable_param_count == tiny_state.params.n_params()
     # identical seeds give identical accuracy numbers
     rep2 = bench_throughput(tiny_state, n_items=120, k_list=[2, 4], reps=2, warmup=1)
     assert [r.accuracy for r in rep2.rows] == [r.accuracy for r in rep.rows]

@@ -9,7 +9,6 @@ from spotlighter.numerics import (
     transformer_block_fwd,
 )
 from spotlighter.representative import (
-    FrozenTheta,
     FusionParams,
     reps_bwd,
     reps_fwd,
@@ -42,12 +41,12 @@ def one_tier(tokens, protos, text, params, theta, temperature=0.01):
 def test_irm_zero_params_residual_identity(rng):
     protos = rng.normal(size=(5, 8))
     tier = rng.normal(size=(6, 8))
-    theta = FrozenTheta.init(8, 2, Stream(5), scale=0.4)
+    theta = TransformerBlockParams.random(8, 2, Stream(5), scale=0.4)
     V, _ = one_tier(tier, protos, rng.normal(size=(3, 8)),
                     FusionParams.zeros(8, 2), theta)
     # a zero IRM block hands the prototypes to the frozen block unchanged
     seq = np.vstack([protos, tier])
-    assert np.array_equal(V, transformer_block_fwd(seq, seq, theta.block)[0][:5])
+    assert np.array_equal(V, transformer_block_fwd(seq, seq, theta)[0][:5])
 
 
 def test_irm_matches_reference(rng):
@@ -64,24 +63,24 @@ def test_extract_zero_theta_passthrough(rng):
     fused = rng.normal(size=(4, 8))
     tier = rng.normal(size=(3, 8))
     seq = np.vstack([fused, tier])
-    out, _ = transformer_block_fwd(seq, seq, FrozenTheta.zeros(8, 2).block)
+    out, _ = transformer_block_fwd(seq, seq, TransformerBlockParams.zeros(8, 2))
     assert np.array_equal(out[:4], fused)
     assert np.array_equal(out[4:], tier)
 
 
 def test_extract_matches_reference_self_attention(rng):
-    theta = FrozenTheta.init(8, 2, Stream(6), scale=0.4)
+    theta = TransformerBlockParams.random(8, 2, Stream(6), scale=0.4)
     protos = rng.normal(size=(1, 8))
     tier = rng.normal(size=(1, 8))
     V, _ = one_tier(tier, protos, rng.normal(size=(3, 8)),
                     FusionParams.zeros(8, 2), theta)
     seq = np.vstack([protos, tier])
-    want = ref_transformer_block(seq, seq, theta.block)
+    want = ref_transformer_block(seq, seq, theta)
     assert np.abs(V - want[:1]).max() < 1e-8
 
 
 def test_extract_row_counts(rng):
-    theta = FrozenTheta.init(8, 2, Stream(7))
+    theta = TransformerBlockParams.random(8, 2, Stream(7))
     for K, m in [(2, 5), (4, 1), (1, 1)]:
         V, R = one_tier(rng.normal(size=(m, 8)), rng.normal(size=(K, 8)),
                         rng.normal(size=(3, 8)), rand_params(), theta)
@@ -94,7 +93,7 @@ def test_trm_alpha_zero_is_identity(rng):
     text = rng.normal(size=(4, 8))
     tier = rng.normal(size=(5, 8))
     _, R = one_tier(tier, rng.normal(size=(2, 8)), text, rand_params(alpha=0.0),
-                    FrozenTheta.zeros(8, 2))
+                    TransformerBlockParams.zeros(8, 2))
     assert np.array_equal(R, text)
 
 
@@ -102,7 +101,7 @@ def test_trm_single_candidate_softmax(rng):
     text = normalize_rows(rng.normal(size=(3, 8)))
     tier = rng.normal(size=(1, 8))
     p = rand_params(alpha=0.5)
-    _, R = one_tier(tier, rng.normal(size=(2, 8)), text, p, FrozenTheta.zeros(8, 2))
+    _, R = one_tier(tier, rng.normal(size=(2, 8)), text, p, TransformerBlockParams.zeros(8, 2))
     # one candidate takes all the matching weight
     want = 0.5 * (np.hstack([text, np.tile(tier[0], (3, 1))]) @ p.trm_w + p.trm_b) + text
     assert np.abs(R - want).max() < 1e-12
@@ -113,7 +112,7 @@ def test_trm_matches_loop_reference(rng):
     tier = rng.normal(size=(6, 8))
     p = rand_params(seed=9)
     _, got = one_tier(tier, rng.normal(size=(2, 8)), text, p,
-                      FrozenTheta.zeros(8, 2), 0.05)
+                      TransformerBlockParams.zeros(8, 2), 0.05)
     want = ref_trm(text, tier, p.trm_w, p.trm_b, 0.2, 0.05)
     assert np.abs(got - want).max() < 1e-8
 
@@ -129,7 +128,7 @@ def test_trm_match_rows_sum_to_one(rng):
     p = rand_params(alpha=1.0)
     p.trm_w[...] = np.vstack([np.zeros((d, d)), np.eye(d)])
     p.trm_b[...] = 0.0
-    _, R = one_tier(tier, rng.normal(size=(2, d)), text, p, FrozenTheta.zeros(d, 2))
+    _, R = one_tier(tier, rng.normal(size=(2, d)), text, p, TransformerBlockParams.zeros(d, 2))
     assert np.abs((R - text)[:, 0] - 1.0).max() < 1e-9
 
 
@@ -158,7 +157,7 @@ def test_build_zero_params_residual_chain(rng):
     t1 = rng.normal(size=(2, d))
     t2 = rng.normal(size=(2, d))
     params = FusionParams.zeros(d, 2, alpha=0.0)
-    theta = FrozenTheta.zeros(d, 2)
+    theta = TransformerBlockParams.zeros(d, 2)
     V, R, _ = fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.01)
     assert np.array_equal(np.vstack(V), np.vstack([protos, protos]))
     assert np.array_equal(np.vstack(R), np.vstack([text, text]))
@@ -170,7 +169,7 @@ def test_build_empty_tier_is_tier1_only(rng):
     text = rng.normal(size=(4, d))
     t1 = rng.normal(size=(2, d))
     params = rand_params(d)
-    theta = FrozenTheta.init(d, 2, Stream(8))
+    theta = TransformerBlockParams.random(d, 2, Stream(8))
     tiers_a = tier_inputs([(0, t1), (1, np.zeros((0, d)))], text, 0.01)
     tiers_b = tier_inputs([(0, t1)], text, 0.01)
     assert [t for t, _, _ in tiers_a] == [0]
@@ -190,7 +189,7 @@ def test_build_matches_composed_oracle(rng):
     t1 = rng.normal(size=(3, d))
     t2 = rng.normal(size=(2, d))
     params = rand_params(d, seed=10)
-    theta = FrozenTheta.init(d, 2, Stream(11), scale=0.4)
+    theta = TransformerBlockParams.random(d, 2, Stream(11), scale=0.4)
     V, R, _ = fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
     V, R = np.vstack(V), np.vstack(R)
     assert V.shape == (10, d) and R.shape == (8, d)
@@ -198,7 +197,7 @@ def test_build_matches_composed_oracle(rng):
     for tier, tokens in ((0, t1), (1, t2)):
         fused = ref_transformer_block(protos, tokens, params.irm[tier])
         seq = np.vstack([fused, tokens])
-        out = ref_transformer_block(seq, seq, theta.block)
+        out = ref_transformer_block(seq, seq, theta)
         parts_v.append(out[:5])
         parts_r.append(ref_trm(text, tokens, params.trm_w, params.trm_b, 0.2, 0.05))
     assert np.abs(V - np.vstack(parts_v)).max() < 1e-8
@@ -211,7 +210,7 @@ def test_stacked_items_match_single_calls_and_oracle(rng):
     text = rng.normal(size=(4, d))
     t1, t2 = rng.normal(size=(N, 3, d)), rng.normal(size=(N, 2, d))
     params = rand_params(d, seed=12)
-    theta = FrozenTheta.init(d, 2, Stream(13), scale=0.4)
+    theta = TransformerBlockParams.random(d, 2, Stream(13), scale=0.4)
     V, R, _ = fwd([(0, t1), (1, t2)], protos, text, params, theta, 0.05)
     assert [v.shape for v in V] == [(N, 5, d)] * 2 and [r.shape for r in R] == [(N, 4, d)] * 2
     for i in range(N):
@@ -221,7 +220,7 @@ def test_stacked_items_match_single_calls_and_oracle(rng):
             assert np.abs(R[tier][i] - R_i[tier]).max() < 1e-12
             fused = ref_transformer_block(protos[i], tokens, params.irm[tier])
             seq = np.vstack([fused, tokens])
-            want_v = ref_transformer_block(seq, seq, theta.block)[:5]
+            want_v = ref_transformer_block(seq, seq, theta)[:5]
             assert np.abs(V[tier][i] - want_v).max() < 1e-8
             want_r = ref_trm(text, tokens, params.trm_w, params.trm_b, 0.2, 0.05)
             assert np.abs(R[tier][i] - want_r).max() < 1e-8
@@ -230,7 +229,7 @@ def test_stacked_items_match_single_calls_and_oracle(rng):
 def test_cache_free_forward_equals_cached(rng):
     d = 8
     params = rand_params(d, seed=14)
-    theta = FrozenTheta.init(d, 2, Stream(15), scale=0.4)
+    theta = TransformerBlockParams.random(d, 2, Stream(15), scale=0.4)
     text = rng.normal(size=(4, d))
     for protos, tiers in (
         (rng.normal(size=(5, d)), [(0, rng.normal(size=(3, d))), (1, rng.normal(size=(2, d)))]),
@@ -277,7 +276,7 @@ def test_flatten_roundtrip(rng):
     d = params.d_model
     tiers = tier_inputs([(0, rng.normal(size=(3, d))), (1, rng.normal(size=(3, d)))],
                         rng.normal(size=(4, d)), 0.05)
-    protos, theta = rng.normal(size=(2, d)), FrozenTheta.init(d, 2, Stream(5))
+    protos, theta = rng.normal(size=(2, d)), TransformerBlockParams.random(d, 2, Stream(5))
 
     def forward(p):
         V, R, _ = reps_fwd(tiers, protos, p, theta, keep_cache=False)
@@ -296,7 +295,7 @@ def test_flatten_roundtrip(rng):
 
 
 def test_theta_bytes_stable_under_reads(rng):
-    theta = FrozenTheta.init(8, 2, Stream(12))
+    theta = TransformerBlockParams.random(8, 2, Stream(12))
     before = theta.to_bytes()
     fwd([(0, rng.normal(size=(3, 8)))], rng.normal(size=(2, 8)),
         rng.normal(size=(4, 8)), rand_params(), theta, 0.01)
@@ -316,7 +315,7 @@ def test_reps_bwd_matches_finite_differences(rng, m1, m2):
     tiers = tier_inputs([(0, rng.normal(size=(m1, d))), (1, rng.normal(size=(m2, d)))],
                         text, 0.05)
     params = rand_params(d, seed=20)
-    theta = FrozenTheta.init(d, 2, Stream(21), scale=0.3)
+    theta = TransformerBlockParams.random(d, 2, Stream(21), scale=0.3)
     WV = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
     WR = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
 
