@@ -17,7 +17,7 @@ from .errors import BadMagic, HeaderMismatch, SpotlighterError, TruncatedFile, V
 
 
 def write_container(path, magic: bytes, version: int, header: dict, arrays) -> None:
-    """Frame the header, then each array's bytes, already in its wire dtype."""
+    """Frame the header, then each array's own buffer, already in its wire dtype."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(magic)
@@ -25,7 +25,7 @@ def write_container(path, magic: bytes, version: int, header: dict, arrays) -> N
         fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
         for arr in arrays:
-            fh.write(arr.tobytes())
+            fh.write(np.ascontiguousarray(arr).data)
 
 
 def read_container(path, magic: bytes, version: int, required_keys, layout):

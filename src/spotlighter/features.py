@@ -43,6 +43,7 @@ _TAG_CLASS_DIRS = 0
 _TAG_POOL = 1
 _TAG_TEXT_NOISE = 2
 _TAG_SPLIT_BASE = 3
+_SLAB = 256  # items per step of a split's normalisation: bounds its temporaries
 
 
 @dataclass
@@ -148,16 +149,15 @@ def _make_split(mu: np.ndarray, text: np.ndarray, pool: np.ndarray,
         dis_noise = stream.normals(n_items, n_dis, spec.d)
 
     labels = np.repeat(np.arange(C, dtype=np.uint32), per_class)
-    tokens = np.empty((n_items, spec.n_tok, spec.d), dtype=np.float64)
-    tokens[:, :n_sig, :] = _unit_rows(mu[labels][:, None, :] + sig_noise)
-    if n_dis:
-        # in place: a bulk split's distractor block is tens of MiB per copy
-        dis_noise *= sig_scale
-        dis_noise += pool[dis_idx]
-        _unit_rows(dis_noise, out=tokens[:, n_sig:, :])
+    tokens = np.empty((n_items, spec.n_tok, spec.d), dtype=np.float32)
+    for i in range(0, n_items, _SLAB):  # rows normalised in float64, rounded on the store
+        s = slice(i, i + _SLAB)
+        _unit_rows(mu[labels[s]][:, None, :] + sig_noise[s], out=tokens[s, :n_sig, :])
+        if n_dis:
+            _unit_rows(sig_scale * dis_noise[s] + pool[dis_idx[s]], out=tokens[s, n_sig:, :])
 
     return FeatureSet(
-        tokens=tokens.astype(np.float32),
+        tokens=tokens,
         labels=labels,
         text_embeddings=text.astype(np.float32),
         split=split,
@@ -214,8 +214,8 @@ def write_features(fs: FeatureSet, path) -> None:
     header = {"dtype": "f32", "layout": "row-major", "n_items": fs.n_items,
               "n_tok": fs.n_tok, "d": fs.d, "n_classes": fs.n_classes,
               "has_labels": fs.labels is not None, "split": fs.split}
-    arrays = [] if fs.labels is None else [fs.labels.astype("<u4")]
-    arrays += [fs.tokens.astype("<f4"), fs.text_embeddings.astype("<f4")]
+    arrays = [] if fs.labels is None else [fs.labels.astype("<u4", copy=False)]
+    arrays += [fs.tokens.astype("<f4", copy=False), fs.text_embeddings.astype("<f4", copy=False)]
     write_container(path, MAGIC, VERSION, header, arrays)
 
 

@@ -31,7 +31,6 @@ class MemoryBank:
 
     prototypes: np.ndarray  # (C, K, d) float64
     beta: float
-    init_mode: str = INIT_TEXT
 
     def __post_init__(self):
         self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
@@ -53,7 +52,7 @@ class MemoryBank:
         return self.prototypes.shape[2]
 
     def copy(self) -> "MemoryBank":
-        return MemoryBank(self.prototypes.copy(), self.beta, self.init_mode)
+        return MemoryBank(self.prototypes.copy(), self.beta)
 
 
 @dataclass
@@ -88,7 +87,7 @@ def init_bank(text_embeddings: np.ndarray, n_prototypes: int, mode: str,
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
         raise ZeroVector("degenerate prototype seed")
-    return MemoryBank(raw / norms, beta=beta, init_mode=mode)
+    return MemoryBank(raw / norms, beta=beta)
 
 
 def _class_scores(queries: np.ndarray, bank: MemoryBank) -> np.ndarray:

@@ -188,10 +188,6 @@ class TransformerBlockParams:
     def n_params(self) -> int:
         return sum(int(a.size) for _, a in self.tensors())
 
-    def copy(self) -> "TransformerBlockParams":
-        kw = {name: getattr(self, name).copy() for name in TENSOR_ORDER}
-        return TransformerBlockParams(n_heads=self.n_heads, **kw)
-
     def to_bytes(self) -> bytes:
         """Concatenated float64 little-endian tensor bytes, wire order."""
         return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in self.tensors())
@@ -273,7 +269,8 @@ def transformer_block_fwd(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockPara
     scale = 1.0 / np.sqrt(dh)
 
     Qn, ln_q = layer_norm_fwd(Q, row(p.ln1_g), row(p.ln1_b))
-    KVn, ln_kv = layer_norm_fwd(KV, row(p.ln1_g), row(p.ln1_b))
+    # self-attention (KV is Q) normalises its input once
+    KVn, ln_kv = (Qn, ln_q) if KV is Q else layer_norm_fwd(KV, row(p.ln1_g), row(p.ln1_b))
 
     qh = _split_heads(Qn @ p.wq + row(p.bq), p.n_heads)      # (..., H, q, dh)
     kh = _split_heads(KVn @ p.wk + row(p.bk), p.n_heads)     # (..., H, n, dh)

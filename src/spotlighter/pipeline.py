@@ -65,8 +65,8 @@ CKPT_MAGIC = b"SPOTCKPT"
 CKPT_VERSION = 2
 
 # items per block-forward pass in predict_batch: a block forward holds every
-# intermediate of its pass while it runs, so the pass size sets the peak memory
-_CHUNK = 256
+# intermediate of its pass while it runs (about 20 MiB at 64 items, k = 32, d = 64)
+_CHUNK = 64
 
 _TAG_BANK = 100
 _TAG_THETA = 101
@@ -257,13 +257,13 @@ def predict_batch(tokens: np.ndarray, state: TrainedState,
                   tier_mode: str | None = None):
     """Label-free pruned classification of (N, n_tok, d) items: (preds, probs).
 
-    Items are classified independently, _CHUNK at a time, which bounds the
-    memory the block forwards hold.
+    Items are classified independently, _CHUNK at a time (each chunk widened
+    to float64 on its own), which bounds the memory the block forwards hold.
     """
     cfg = state.config
     k = cfg.k_act if k is None else k
     tier_mode = cfg.tier_mode if tier_mode is None else tier_mode
-    X = np.asarray(tokens, dtype=np.float64)
+    X = np.asarray(tokens)
     if X.ndim != 3 or X.shape[2] != cfg.d:
         raise DimMismatch(f"tokens must be (N, n_tok, {cfg.d}), got shape {X.shape}")
     if tier_mode not in TIER_MODES:
@@ -271,8 +271,8 @@ def predict_batch(tokens: np.ndarray, state: TrainedState,
     check_selection(X.shape[1], k, cfg.selection_variant, tier_mode)
     if len(X) == 0:
         return np.zeros(0, dtype=np.intp), np.zeros((0, len(class_set.text)))
-    parts = [_predict_chunk(X[i : i + _CHUNK], state, class_set, k, tier_mode)
-             for i in range(0, len(X), _CHUNK)]
+    parts = [_predict_chunk(X[i : i + _CHUNK].astype(np.float64), state, class_set, k,
+                            tier_mode) for i in range(0, len(X), _CHUNK)]
     return (np.concatenate([preds for preds, _ in parts]),
             np.concatenate([probs for _, probs in parts]))
 
@@ -623,8 +623,7 @@ def load_state(path) -> TrainedState:
     state = TrainedState(
         params=FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha),
         theta=TransformerBlockParams.zeros(cfg.d, cfg.heads, cfg.ffn_mult),
-        bank=MemoryBank(np.zeros((len(arrays[-1]), cfg.n_proto, cfg.d)),
-                        beta=cfg.beta, init_mode=cfg.init_mode),
+        bank=MemoryBank(np.zeros((len(arrays[-1]), cfg.n_proto, cfg.d)), beta=cfg.beta),
         config=cfg, history=header["history"])
     if header["tensors"] != _manifest(state):
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")

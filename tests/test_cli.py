@@ -369,6 +369,26 @@ def test_ablate_trains_once_per_cell_and_matches_per_cell_training(capsys, workd
         assert failed == []
 
 
+def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
+    # every split here is one chunk, so a chunk call is one prediction pass:
+    # per training, one train_acc pass per epoch, then per tier mode one base
+    # and one novel pass (the base pass is the one timed for items_per_sec)
+    epochs = 1
+    chunks = []
+    predict_chunk = pipeline._predict_chunk
+
+    def counting_chunk(X, *args):
+        assert len(X) < pipeline._CHUNK
+        chunks.append(len(X))
+        return predict_chunk(X, *args)
+
+    monkeypatch.setattr(pipeline, "_predict_chunk", counting_chunk)
+    code, _, _ = run(capsys, "ablate", *TINY_FLAGS, "--epochs", str(epochs),
+                     "--out", "sweep.csv")
+    assert code == EXIT_OK
+    assert len(chunks) == 24 * (epochs + 2 * 3)
+
+
 # --- usage ---------------------------------------------------------------------
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spotlighter import features
 from spotlighter.errors import BadMagic, HeaderMismatch, InvalidSpec, TruncatedFile
 from spotlighter.features import (
     FeatureSet,
@@ -101,6 +102,14 @@ def test_feature_arrays_immutable():
         train.tokens[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         train.text_embeddings[0, 0] = 5.0
+
+
+def test_slabs_do_not_change_the_tokens(monkeypatch):
+    want = generate_base_novel(small_spec(), 3, 5)
+    monkeypatch.setattr(features, "_SLAB", 3)  # ragged slabs across class boundaries
+    got = generate_base_novel(small_spec(), 3, 5)
+    for a, b in zip(got, want):
+        assert a.content_bytes() == b.content_bytes()
 
 
 # --- file format ---------------------------------------------------------------

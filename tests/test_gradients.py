@@ -22,13 +22,13 @@ from spotlighter.rng import Stream
 def _block_fd_error(p, Q, KV, W):
     """Worst finite-difference error of every weight gradient of one block
     call (weights with or without leading axes)."""
+    ends = np.cumsum([a.size for _, a in p.tensors()])[:-1]
+
     def objective(flat):
-        pc = p.copy()
-        pos = 0
-        for _, arr in pc.tensors():
-            arr[...] = flat[pos : pos + arr.size].reshape(arr.shape)
-            pos += arr.size
-        out, _ = transformer_block_fwd(Q, KV, pc)
+        probe = TransformerBlockParams(n_heads=p.n_heads, **{
+            name: chunk.reshape(a.shape)
+            for (name, a), chunk in zip(p.tensors(), np.split(flat, ends))})
+        out, _ = transformer_block_fwd(Q, KV, probe)
         return float((out * W).sum())
 
     out, cache = transformer_block_fwd(Q, KV, p)

@@ -239,6 +239,22 @@ def test_block_input_gradients_alone(rng):
         assert np.array_equal(dQ[t], dQ_t) and np.array_equal(dKV[t], dKV_t)
 
 
+def test_self_attention_shares_its_normalisation_bitwise(rng):
+    # KV is Q normalises the input once; the result is the two-input call's
+    # output, input gradients and weight gradients, bit for bit
+    p = _random_params(8, 2, seed=36)
+    X, dY = rng.normal(size=(2, 5, 8)), rng.normal(size=(2, 5, 8))
+    out, cache = transformer_block_fwd(X, X, p)
+    out_2, cache_2 = transformer_block_fwd(X, X.copy(), p)
+    assert cache[2] is cache[1] and cache_2[2] is not cache_2[1]  # KVn is Qn
+    assert np.array_equal(out, out_2)
+    dQ, dKV, grads = transformer_block_bwd(cache, dY)
+    dQ_2, dKV_2, grads_2 = transformer_block_bwd(cache_2, dY)
+    assert np.array_equal(dQ, dQ_2) and np.array_equal(dKV, dKV_2)
+    for name in TENSOR_ORDER:
+        assert np.array_equal(grads[name], grads_2[name]), name
+
+
 def test_stacked_block_serves_outer_item_axes(rng):
     # weights stacked on one axis broadcast against the inputs' last leading
     # axis, so an item axis may sit outside the tier axis

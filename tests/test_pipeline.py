@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spotlighter import pipeline
 from spotlighter.activation import (
     VARIANTS,
     combine_scores,
@@ -233,6 +234,16 @@ def test_predict_batch_crosses_chunk_boundaries(tiny_state, tiny_config):
                                     -(-n // tiny_config.n_classes))
     ctx = make_eval_class_set(tiny_state, big.text_embeddings, True)
     assert_batch_matches_composition(big.tokens[:n], tiny_state, ctx)
+
+
+def test_predict_batch_bytes_do_not_depend_on_chunking(tiny_state, tiny_episode, monkeypatch):
+    _, base_test, _ = tiny_episode
+    ctx = make_eval_class_set(tiny_state, base_test.text_embeddings, True)
+    want = predict_batch(base_test.tokens.astype(np.float64), tiny_state, ctx)
+    monkeypatch.setattr(pipeline, "_CHUNK", 5)
+    got = predict_batch(base_test.tokens, tiny_state, ctx)  # float32, widened per chunk
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_predict_matches_independent_composition(tiny_state, tiny_episode):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 
+from spotlighter import rng
 from spotlighter.rng import Stream
 
 
@@ -89,3 +90,25 @@ def test_normals_peak_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * z.nbytes
+
+
+def test_normals_blocks_do_not_change_the_draws(monkeypatch):
+    # 1,001 pairs over blocks of 7 (a ragged last block) against one block
+    want = Stream(5).normals(13, 154)
+    monkeypatch.setattr(rng, "_NORMAL_BLOCK", 7)
+    stream = Stream(5)
+    got = stream.normals(13, 154)
+    assert got.tobytes() == want.tobytes()
+    # the counter moves past both halves, as it does in one block
+    assert stream.uniforms(3).tobytes() == Stream(5).uniforms(2 * 1001 + 3)[-3:].tobytes()
+
+
+def test_normals_temporaries_are_one_block(monkeypatch):
+    monkeypatch.setattr(rng, "_NORMAL_BLOCK", 1024)
+    tracemalloc.start()
+    try:
+        z = Stream(1).normals(200, 28, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes + 8 * 8 * 1024
