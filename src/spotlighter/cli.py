@@ -101,7 +101,10 @@ def cmd_train(args) -> int:
     train_set = read_features(args.train)
     state = train(cfg, train_set)
     save_state(state, args.out)
-    final_acc, _ = split_accuracy(state, train_set, use_trained_bank=True)
+    if state.history:  # train has scored this state for the last epoch
+        final_acc = state.history[-1]["train_acc"]
+    else:
+        final_acc, _ = split_accuracy(state, train_set, use_trained_bank=True)
     report = {
         "seed": cfg.seed,
         "epochs": cfg.epochs,

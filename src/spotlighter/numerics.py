@@ -248,18 +248,20 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(*lead, L, H * dh)
 
 
-def transformer_block_fwd(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams):
+def transformer_block_fwd(Q: np.ndarray | int, KV: np.ndarray, p: TransformerBlockParams):
     """Pre-LN block: attention(LN(Q), LN(KV)) + Q, then FFN(LN(.)) + residual.
 
     Q is (..., q, d) and KV (..., n, d); their leading axes and those of the
-    weights broadcast as numpy aligns them, from the right. Returns (output
-    (..., q, d), cache) where the cache carries every intermediate needed for
-    the exact backward pass.
+    weights broadcast as numpy aligns them, from the right. An int Q = q
+    means the queries are the first q rows of KV (q = n is self-attention):
+    KV is normalised once and the query rows, their normalised rows and their
+    layer-norm cache are views of KV's. Returns (output (..., q, d), cache)
+    where the cache carries every intermediate needed for the exact backward
+    pass.
     """
-    Q = np.asarray(Q, dtype=np.float64)
     KV = np.asarray(KV, dtype=np.float64)
     d = p.d_model
-    if Q.shape[-1] != d or KV.shape[-1] != d:
+    if KV.shape[-1] != d:
         raise DimMismatch(f"inputs must have width {d}")
 
     def row(v):  # a bias or LN vector, broadcast over the rows of its weight set
@@ -268,9 +270,18 @@ def transformer_block_fwd(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockPara
     dh = d // p.n_heads
     scale = 1.0 / np.sqrt(dh)
 
-    Qn, ln_q = layer_norm_fwd(Q, row(p.ln1_g), row(p.ln1_b))
-    # self-attention (KV is Q) normalises its input once
-    KVn, ln_kv = (Qn, ln_q) if KV is Q else layer_norm_fwd(KV, row(p.ln1_g), row(p.ln1_b))
+    KVn, ln_kv = layer_norm_fwd(KV, row(p.ln1_g), row(p.ln1_b))
+    if isinstance(Q, (int, np.integer)):
+        if not 1 <= Q <= KV.shape[-2]:
+            raise DimMismatch(f"{Q} query rows of {KV.shape[-2]} key/value rows")
+        rows = (..., slice(None, Q), slice(None))
+        xhat, inv, g = ln_kv
+        Q, Qn, ln_q = KV[rows], KVn[rows], (xhat[rows], inv[rows], g)
+    else:
+        Q = np.asarray(Q, dtype=np.float64)
+        if Q.shape[-1] != d:
+            raise DimMismatch(f"inputs must have width {d}")
+        Qn, ln_q = layer_norm_fwd(Q, row(p.ln1_g), row(p.ln1_b))
 
     qh = _split_heads(Qn @ p.wq + row(p.bq), p.n_heads)      # (..., H, q, dh)
     kh = _split_heads(KVn @ p.wk + row(p.bk), p.n_heads)     # (..., H, n, dh)
@@ -341,7 +352,8 @@ def transformer_block_bwd(cache, dY: np.ndarray, param_grads: bool = True):
     return dQ, dKV, grads
 
 
-def transformer_block_batch(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams) -> np.ndarray:
+def transformer_block_batch(Q: np.ndarray | int, KV: np.ndarray,
+                            p: TransformerBlockParams) -> np.ndarray:
     """`transformer_block_fwd` with the cache dropped."""
     return transformer_block_fwd(Q, KV, p)[0]
 

@@ -401,10 +401,10 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
         total += 2 * d * d * (2 * K + 2 * m)          # IRM q/k/v/o projections
         total += 4 * K * m * d + 3 * K * m            # IRM attention
         total += 4 * e * K * d * d                    # IRM feed-forward
-        total += 10 * d * L                           # frozen block layer norms
-        total += 8 * L * d * d                        # frozen q/k/v/o
-        total += 4 * L * L * d + 3 * L * L            # frozen attention
-        total += 4 * e * L * d * d                    # frozen feed-forward
+        total += 5 * d * L + 5 * d * K                # frozen block layer norms
+        total += 2 * d * d * (2 * K + 2 * L)          # frozen q/k/v/o (K query rows)
+        total += 4 * K * L * d + 3 * K * L            # frozen attention
+        total += 4 * e * K * d * d                    # frozen feed-forward
         total += 2 * m * d + 2 * C * m * d + 3 * C * m  # TRM matching
         total += 2 * C * m * d + 4 * C * d * d + C * d  # TRM aggregate + linear
     total += 2 * (2 * K) * d + 2 * C * d + 3 * C      # pooling + classification

@@ -2,10 +2,11 @@
 
 Visual side: one trainable cross-attention block per tier takes the class
 prototypes as queries and the tier tokens as keys/values; the fused
-prototypes are then concatenated with the tier tokens and passed through a
-frozen, seeded transformer block (full self-attention; `theta`, a plain
-`TransformerBlockParams` that nothing trains), whose first K output rows are
-the representative visual tokens. The two IRM blocks are stored stacked on a
+prototypes then pass through a frozen, seeded transformer block (`theta`, a
+plain `TransformerBlockParams` that nothing trains) in which the K fused
+prototype rows attend over [fused; tier tokens]; its K output rows are the
+representative visual tokens. The tier-token rows are keys and values only,
+since nothing reads their outputs. The two IRM blocks are stored stacked on a
 leading tier axis.
 
 Text side: every class text token attends over the tier tokens with a
@@ -177,8 +178,9 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
     representative set per tier, in tier order; the text residual is the text
     half of Z. Stacked inputs — (N, m, d) tier tokens and (N, K, d) prototypes
     — give (N, K, d) and (N, C, d) sets. Each tier group runs its blocks once
-    over a tier axis. With keep_cache=False the blocks drop their
-    intermediates and the returned cache is None.
+    over a tier axis; the frozen block computes only the K fused-prototype
+    rows, as queries over [fused; tier tokens]. With keep_cache=False the
+    blocks drop their intermediates and the returned cache is None.
     """
     protos = np.asarray(class_protos, dtype=np.float64)
     K, d = protos.shape[-2:]
@@ -195,9 +197,9 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
         fused, irm_cache = block(protos[..., None, :, :], tokens,
                                  params.irm[first : first + T])
         seq = np.concatenate([fused, tokens], axis=-2)
-        out, theta_cache = block(seq, seq, theta)
+        out, theta_cache = block(K, seq, theta)
         for i, (_, _, Z) in enumerate(group):
-            V_list.append(out[..., i, :K, :])
+            V_list.append(out[..., i, :, :])
             R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + Z[..., :d])
         if keep_cache:
             group_caches.append((first, irm_cache, theta_cache, [Z for _, _, Z in group], K))
@@ -224,10 +226,8 @@ def reps_bwd(cache, dV_list, dR_list) -> FusionParams:
             trm_w += params.alpha * (Z.T @ dR)
             trm_b += params.alpha * dR.sum(axis=0)
         # visual side: route through frozen theta, then the tiers' IRM blocks
-        d_out = np.zeros(theta_cache[1].shape)  # (T, K + m, d) entered the frozen block
-        d_out[:, :K] = dVs
-        dQ_t, dKV_t, _ = transformer_block_bwd(theta_cache, d_out, param_grads=False)
-        d_fused = (dQ_t + dKV_t)[:, :K]
+        dQ_t, dKV_t, _ = transformer_block_bwd(theta_cache, np.stack(dVs), param_grads=False)
+        d_fused = dQ_t + dKV_t[:, :K]
         _, _, irm_grads = transformer_block_bwd(irm_cache, d_fused)
         for name, g in irm_grads.items():
             irm[name][first : first + T] += g

@@ -109,6 +109,32 @@ def test_train_loss_decreases(capsys, workdir):
     assert hist[-1]["total"] < hist[0]["total"]
 
 
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_scores_the_training_split_once_per_epoch(capsys, workdir, monkeypatch, epochs):
+    # the training split is one chunk, so a chunk call is one prediction
+    # pass; the last epoch's train_acc is the final one, and with no epoch
+    # the final score is the only pass
+    data = gen_tiny(capsys, workdir)
+    chunks = []
+    predict_chunk = pipeline._predict_chunk
+
+    def counting_chunk(X, *args):
+        assert len(X) < pipeline._CHUNK
+        chunks.append(len(X))
+        return predict_chunk(X, *args)
+
+    monkeypatch.setattr(pipeline, "_predict_chunk", counting_chunk)
+    code, out, _ = run(capsys, "train", *TINY_FLAGS, "--epochs", str(epochs),
+                       "--train", str(data / "base-train.spot"), "--out", "ckpt.spot")
+    assert code == EXIT_OK
+    assert len(chunks) == max(epochs, 1)
+    report = json.loads(out.strip().splitlines()[-1])
+    train_set = read_features(data / "base-train.spot")
+    acc, _ = pipeline.split_accuracy(pipeline.load_state("ckpt.spot"), train_set,
+                                     use_trained_bank=True)
+    assert report["final_train_acc"] == round(acc, 2)
+
+
 def test_train_missing_file_is_data_error(capsys, workdir):
     code, _, _ = run(capsys, "train", "--train", "missing.spot", "--out", "c.spot")
     assert code == EXIT_DATA

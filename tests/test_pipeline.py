@@ -477,3 +477,8 @@ def test_flop_count_strictly_increasing(tiny_state):
 def test_flop_count_full_exceeds_pruned():
     cfg = RunConfig()
     assert flop_count_inference(cfg, 32) > flop_count_inference(cfg, 8)
+
+
+def test_flop_count_pins_the_prefix_query_frozen_block():
+    # per tier the frozen block runs K query rows over K + m key/value rows
+    assert flop_count_inference(RunConfig(), 16) == 2_169_172

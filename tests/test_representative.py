@@ -47,6 +47,13 @@ def test_irm_zero_params_residual_identity(rng):
     # a zero IRM block hands the prototypes to the frozen block unchanged
     seq = np.vstack([protos, tier])
     assert np.array_equal(V, transformer_block_fwd(seq, seq, theta)[0][:5])
+    # stacked on an item axis, item by item
+    protos, tiers = rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 6, 8))
+    (V,), _, _ = fwd([(0, tiers)], protos, rng.normal(size=(3, 8)),
+                     FusionParams.zeros(8, 2), theta, 0.01)
+    for i in range(3):
+        seq = np.vstack([protos[i], tiers[i]])
+        assert np.array_equal(V[i], transformer_block_fwd(seq, seq, theta)[0][:5])
 
 
 def test_irm_matches_reference(rng):
@@ -329,6 +336,8 @@ def test_reps_bwd_matches_finite_differences(rng, m1, m2):
 
     V, R, cache = reps_fwd(tiers, protos, params, theta)
     assert len(cache[1]) == (1 if m1 == m2 else 2)  # tier groups
+    # the frozen block ran the K = 3 prototype rows as its only queries
+    assert all(theta_cache[1].shape[-2] == 3 for _, _, theta_cache, _, _ in cache[1])
     analytic = reps_bwd(cache, WV, WR).flatten()
     errs = finite_difference_errors(objective, params.flatten(), analytic, 1e-5)
     assert errs.max() < 1e-6
