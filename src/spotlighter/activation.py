@@ -66,12 +66,18 @@ def select_activated(scores: np.ndarray, k: int, variant: str = VARIANT_TOP) -> 
     raise ValueError(f"unknown selection variant {variant!r}")
 
 
+def kept_count(n_tok: int, k: int, variant: str) -> int:
+    """Number of tokens `select_activated` keeps: n_tok - k for remove-top-k,
+    else k."""
+    return n_tok - k if variant == VARIANT_REMOVE_TOP else k
+
+
 def check_selection(n_tok: int, k: int, variant: str, tier_mode: str) -> None:
     """Reject a k outside [1, n_tok], or one whose variant keeps no token, or
     fewer than two under "lev2" (tier 2 holds floor(m/2) of m kept tokens)."""
     if not 1 <= k <= n_tok:
         raise KOutOfRange(f"k={k} outside [1, {n_tok}]")
-    kept = n_tok - k if variant == VARIANT_REMOVE_TOP else k
+    kept = kept_count(n_tok, k, variant)
     if kept < (2 if tier_mode == "lev2" else 1):
         raise ConfigError(f"{variant} with k={k} of {n_tok} tokens keeps {kept}, "
                           f"too few for tier mode {tier_mode}")

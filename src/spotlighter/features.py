@@ -83,7 +83,6 @@ class FeatureSet:
     labels: np.ndarray | None
     text_embeddings: np.ndarray
     split: str = "base"
-    provenance: str = "synthetic"
 
     def __post_init__(self):
         self.tokens = np.ascontiguousarray(self.tokens, dtype=np.float32)
@@ -161,7 +160,6 @@ def _make_split(mu: np.ndarray, text: np.ndarray, pool: np.ndarray,
         labels=labels,
         text_embeddings=text.astype(np.float32),
         split=split,
-        provenance=f"synthetic-seed:{stream.seed}",
     )
 
 
@@ -240,6 +238,6 @@ def read_features(path) -> FeatureSet:
     tokens, text = arrays
     try:
         return FeatureSet(tokens=tokens, labels=labels, text_embeddings=text,
-                          split=str(header["split"]), provenance=str(path))
+                          split=str(header["split"]))
     except InvalidSpec as exc:  # bad file content is a data error, not a usage one
         raise DataError(f"{path}: {exc}") from exc

@@ -27,7 +27,7 @@ classifies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .activation import (
     VARIANT_REMOVE_TOP,
     check_selection,
     combine_scores,
+    kept_count,
     sample_scores,
     select_activated,
     semantic_scores,
@@ -193,10 +194,7 @@ def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     V_list, R_list, cache = reps_fwd(tiers, bank.prototypes[label], params, theta)
     breakdown, dV, dR = losses_fwd_bwd(V_list, R_list,
                                        loss_item(text, X, len(tiers), local, label), weights)
-    grads = reps_bwd(cache, dV, dR)
-
-    for arr, grad in zip(params.storage(), grads.storage()):
-        arr -= cfg.lr * grad
+    params.flat -= cfg.lr * reps_bwd(cache, dV, dR)
     return bank, breakdown
 
 
@@ -378,8 +376,9 @@ class ThroughputReport:
 def flop_count_inference(cfg: RunConfig, k: int) -> int:
     """Analytic multiply-add count of the pruned inference path for one item.
 
-    Strictly increasing in k: each extra retained token enlarges at least
-    one tier everywhere the fusion stack touches it.
+    Strictly increasing in the kept token count (`kept_count`): each extra
+    kept token enlarges at least one tier everywhere the fusion stack
+    touches it.
     """
     n, d, K, C = cfg.n_tok, cfg.d, cfg.n_proto, cfg.n_classes
     e = cfg.ffn_mult
@@ -389,8 +388,9 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
     if cfg.semantic_on:
         total += 2 * n * K * d                 # semantic scores
     total += n * max(1, int(np.ceil(np.log2(max(n, 2)))))  # selection sort
-    m1 = (k + 1) // 2
-    tiers = {"both": (m1, k - m1), "lev1": (m1, 0), "lev2": (0, k - m1)}[cfg.tier_mode]
+    kept = kept_count(n, k, cfg.selection_variant)
+    m1 = (kept + 1) // 2
+    tiers = {"both": (m1, kept - m1), "lev1": (m1, 0), "lev2": (0, kept - m1)}[cfg.tier_mode]
     for m in tiers:
         if m == 0:
             continue
@@ -511,13 +511,12 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5) 
 
         params, V_list, R_list, cache = _draw_kink_safe_params(cfg, case, tiers, protos,
                                                                text, theta, eps)
-        x0 = params.flatten()
         item = loss_item(text, X, len(tiers), local, label)
         _, dV, dR = losses_fwd_bwd(V_list, R_list, item, weights)
-        analytic = reps_bwd(cache, dV, dR).flatten()
+        analytic = reps_bwd(cache, dV, dR)
 
         objective = _fast_objective(params, tiers, protos, theta, item, weights)
-        errors = finite_difference_errors(objective, x0, analytic, eps)
+        errors = finite_difference_errors(objective, params.flat, analytic, eps)
         worst = max(worst, float(errors.max()))
         pos = 0
         for name, arr in params.tensors():
@@ -536,12 +535,12 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5) 
 def _fast_objective(params: FusionParams, tiers, protos, theta: TransformerBlockParams,
                     item, weights: LossWeights):
     """Value-only total-loss closure for finite-difference probing: the
-    training forward, cache-free, on parameters that view one flat buffer
-    (loading a probe vector is one copy), against the item's `LossItem`."""
-    buf, work = params.flat_view()
+    training forward, cache-free, against the item's `LossItem`, on a
+    `replace` copy of `params` whose `flat` each probe loads (one copy)."""
+    work = replace(params)
 
     def objective(flat: np.ndarray) -> float:
-        buf[...] = flat
+        work.flat[...] = flat
         V_list, R_list, _ = reps_fwd(tiers, protos, work, theta, keep_cache=False)
         return losses_value(V_list, R_list, item, weights)
 

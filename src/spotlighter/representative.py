@@ -6,8 +6,8 @@ prototypes then pass through a frozen, seeded transformer block (`theta`, a
 plain `TransformerBlockParams` that nothing trains) in which the K fused
 prototype rows attend over [fused; tier tokens]; its K output rows are the
 representative visual tokens. The tier-token rows are keys and values only,
-since nothing reads their outputs. The two IRM blocks are stored stacked on a
-leading tier axis.
+since nothing reads their outputs. The trainable tensors live in one float64
+vector (`FusionParams.flat`); the two IRM blocks view it on a leading tier axis.
 
 Text side: every class text token attends over the tier tokens with a
 temperature-scaled cosine softmax and is concatenated with the weighted
@@ -18,9 +18,9 @@ scaled by alpha.
 
 `reps_fwd` runs only the work the parameters touch, over an optional leading
 item axis, with backward caches or (batched prediction, finite-difference
-probes) without; `reps_bwd` turns representative gradients into exact
-parameter gradients, and the frozen block routes gradients but never
-receives them.
+probes) without; `reps_bwd` turns representative gradients into the exact
+gradient, one vector laid out like `FusionParams.flat`, and the frozen block
+routes gradients but never receives them.
 
 Both functions work on tier groups, each one IRM call and one frozen-block
 call over a tier axis, the last leading axis of the block inputs, against
@@ -57,7 +57,9 @@ class FusionParams:
 
     irm stacks one block per tier on a leading tier axis, irm[t] for tier t.
     trm_w maps the concatenated (text token, aggregate) pair of width 2d back
-    to d.
+    to d. Construction copies the given tensors into `flat`, one float64
+    vector in `tensors()` order, and rebinds irm, trm_w and trm_b as views of
+    it; the SGD step and the finite-difference probe write that vector.
     """
 
     irm: TransformerBlockParams
@@ -72,10 +74,23 @@ class FusionParams:
         if n_blocks != (2,):
             raise DimMismatch(f"one IRM block per tier is 2 stacked blocks, got {n_blocks}")
         d = self.irm.d_model
-        self.trm_w = np.asarray(self.trm_w, dtype=np.float64)
-        self.trm_b = np.asarray(self.trm_b, dtype=np.float64)
-        if self.trm_w.shape != (2 * d, d) or self.trm_b.shape != (d,):
+        if np.shape(self.trm_w) != (2 * d, d) or np.shape(self.trm_b) != (d,):
             raise DimMismatch(f"TRM weights must be ({2 * d}, {d}) and ({d},)")
+        self.flat = np.concatenate([np.ravel(a) for _, a in self.tensors()], dtype=np.float64)
+        irm, self.trm_w, self.trm_b = self._views(self.flat)
+        self.irm = TransformerBlockParams(n_heads=self.irm.n_heads, **irm)
+
+    def _views(self, buf: np.ndarray):
+        """(stacked IRM tensors by name, trm_w, trm_b) viewing a wire-order
+        vector. The two IRM blocks share one layout, one block apart, so each
+        stacked tensor is a strided view."""
+        d = self.d_model
+        n_block = (buf.size - 2 * d * d - d) // 2
+        blocks, pos, irm = buf[: 2 * n_block].reshape(2, n_block), 0, {}
+        for name, a in self.irm.tensors():
+            irm[name] = blocks[:, pos : pos + a.size // 2].reshape(a.shape)
+            pos += a.size // 2
+        return irm, buf[2 * n_block : -d].reshape(2 * d, d), buf[-d:]
 
     @property
     def d_model(self) -> int:
@@ -88,32 +103,8 @@ class FusionParams:
         out.append(("trm.b", self.trm_b))
         return out
 
-    def storage(self):
-        """The arrays that hold the parameters: stacked IRM tensors, TRM pair."""
-        return [arr for _, arr in self.irm.tensors()] + [self.trm_w, self.trm_b]
-
     def n_params(self) -> int:
-        return sum(int(a.size) for a in self.storage())
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for _, a in self.tensors()])
-
-    def flat_view(self):
-        """(buffer, params): `flatten()` and a FusionParams whose tensors view
-        that buffer, so writing a flat vector into it loads every tensor. The
-        two IRM blocks share one layout, one block apart, so each stacked
-        tensor is a strided view."""
-        buf = self.flatten()
-        n_block = self.irm[0].n_params()
-        blocks, pos = buf[: 2 * n_block].reshape(2, n_block), 0
-        irm = {}
-        for name, a in self.irm[0].tensors():
-            irm[name] = blocks[:, pos : pos + a.size].reshape((2,) + a.shape)
-            pos += a.size
-        trm_w = buf[2 * n_block : 2 * n_block + self.trm_w.size].reshape(self.trm_w.shape)
-        trm_b = buf[2 * n_block + self.trm_w.size :]
-        return buf, FusionParams(irm=TransformerBlockParams(n_heads=self.irm.n_heads, **irm),
-                                 trm_w=trm_w, trm_b=trm_b, alpha=self.alpha)
+        return self.flat.size
 
     @classmethod
     def init(cls, d: int, n_heads: int, stream: Stream, *, ffn_mult: int = 2,
@@ -206,16 +197,16 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
     return V_list, R_list, (params, group_caches) if keep_cache else None
 
 
-def reps_bwd(cache, dV_list, dR_list) -> FusionParams:
-    """Gradients of every trainable tensor given representative gradients,
-    as a FusionParams of the same shapes.
+def reps_bwd(cache, dV_list, dR_list) -> np.ndarray:
+    """Gradient of every trainable tensor given representative gradients, as
+    one vector laid out like `FusionParams.flat`.
 
     The frozen block only routes gradients; its tensors are absent from the
     result. The TRM gradient is accumulated tier by tier.
     """
     params, group_caches = cache
-    irm = {name: np.zeros_like(arr) for name, arr in params.irm.tensors()}
-    trm_w, trm_b = np.zeros_like(params.trm_w), np.zeros_like(params.trm_b)
+    grad = np.zeros_like(params.flat)
+    irm, trm_w, trm_b = params._views(grad)
     tier = 0
     for first, irm_cache, theta_cache, Zs, K in group_caches:
         T = len(Zs)
@@ -231,5 +222,4 @@ def reps_bwd(cache, dV_list, dR_list) -> FusionParams:
         _, _, irm_grads = transformer_block_bwd(irm_cache, d_fused)
         for name, g in irm_grads.items():
             irm[name][first : first + T] += g
-    return FusionParams(irm=TransformerBlockParams(n_heads=params.irm.n_heads, **irm),
-                        trm_w=trm_w, trm_b=trm_b, alpha=params.alpha)
+    return grad

@@ -42,7 +42,7 @@ def corrupt_gradient(monkeypatch):
 
     def shifted(*args):
         grads = exact(*args)
-        grads.irm.wq[0, 0, 0] += 1e-2  # irm0.wq[0, 0], flatten()[0]
+        grads[0] += 1e-2  # irm0.wq[0, 0], first in wire order
         return grads
 
     monkeypatch.setattr(pipeline, "reps_bwd", shifted)

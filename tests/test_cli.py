@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -316,6 +317,13 @@ def test_bench_runs_on_a_remove_top_k_checkpoint(capsys, workdir):
     assert payload["full_token"] is None
     with open("bench.csv") as fh:
         assert [row[:2] for row in csv.reader(fh)] == [["k", "is_full"], ["4", "False"]]
+    # the row's flops count the tokens the variant keeps: 6 of 8 at k = 2
+    code, out, err = run(capsys, "bench", "--checkpoint", "ckpt.spot", "--items", "102",
+                         "--reps", "1", "--k-list", "2")
+    assert code == EXIT_OK, err
+    cfg = pipeline.load_state("ckpt.spot").config
+    assert (json.loads(out.strip().splitlines()[-1])["rows"][0]["flops"]
+            == pipeline.flop_count_inference(replace(cfg, selection_variant="top-k"), 6))
 
 
 def test_bench_workload_too_small(capsys, workdir):

@@ -110,7 +110,11 @@ def test_probe_value_is_the_training_total(k_act, n_tiers):
     item = loss_item(text, X, len(tiers), local, label)
     want = losses_fwd_bwd(V, R, item, cfg.loss_weights())[0].total
     objective = _fast_objective(params, tiers, protos, theta, item, cfg.loss_weights())
-    assert objective(params.flatten()) == want
+    assert objective(params.flat) == want
+    # a probe elsewhere leaves the parameters it was built from as they were
+    before = params.flat.copy()
+    objective(before + 1e-3)
+    assert params.flat.tobytes() == before.tobytes()
 
 
 def test_gradcheck_detects_corruption(corrupt_gradient):

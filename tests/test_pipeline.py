@@ -482,3 +482,9 @@ def test_flop_count_full_exceeds_pruned():
 def test_flop_count_pins_the_prefix_query_frozen_block():
     # per tier the frozen block runs K query rows over K + m key/value rows
     assert flop_count_inference(RunConfig(), 16) == 2_169_172
+
+
+def test_flop_count_counts_the_tokens_remove_top_k_keeps():
+    # remove-top-k at k = 4 keeps 28 of the 32 tokens
+    assert (flop_count_inference(RunConfig(selection_variant="remove-top-k"), 4)
+            == flop_count_inference(RunConfig(), 28))

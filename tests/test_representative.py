@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -271,15 +273,16 @@ def test_block_param_count_matches():
         assert p.n_params() == block_param_count(d, e)
 
 
-def test_flatten_roundtrip(rng):
-    params = rand_params()
-    flat = params.flatten()
-    source = rand_params(seed=99)
-    buf, other = source.flat_view()
-    assert np.array_equal(buf, source.flatten())
-    # the stacked tensors reps_fwd reads view buf, one block apart
-    for name, arr in other.irm.tensors():
-        assert arr.shape[0] == 2 and np.shares_memory(arr, buf), name
+def test_params_share_one_flat_buffer(rng):
+    params, source = rand_params(), rand_params(seed=99)
+    # every tensor views flat, and flat lists them in wire order
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for _, a in params.tensors()]))
+    for name, arr in params.tensors():
+        assert np.shares_memory(arr, params.flat), name
+    # the stacked tensors reps_fwd reads view flat, one block apart
+    for name, arr in params.irm.tensors():
+        assert arr.shape[0] == 2 and np.shares_memory(arr, params.flat), name
+    assert params.n_params() == params.flat.size
     d = params.d_model
     tiers = tier_inputs([(0, rng.normal(size=(3, d))), (1, rng.normal(size=(3, d)))],
                         rng.normal(size=(4, d)), 0.05)
@@ -289,16 +292,25 @@ def test_flatten_roundtrip(rng):
         V, R, _ = reps_fwd(tiers, protos, p, theta, keep_cache=False)
         return V + R
 
-    assert all(np.array_equal(a, b) for a, b in zip(forward(other), forward(source)))
-    buf[...] = flat  # other's tensors view buf
-    assert np.array_equal(other.flatten(), flat)
-    for (na, a), (nb, b) in zip(params.tensors(), other.tensors()):
+    want = forward(params)
+    assert not all(np.array_equal(a, b) for a, b in zip(forward(source), want))
+    source.flat[...] = params.flat  # loads every tensor of source
+    for (na, a), (nb, b) in zip(params.tensors(), source.tensors()):
         assert na == nb
         assert np.array_equal(a, b)
-    for a, b in zip(params.storage(), other.storage()):
-        assert np.array_equal(a, b)
-    assert all(np.array_equal(a, b) for a, b in zip(forward(other), forward(params)))
-    assert np.array_equal(source.flatten(), rand_params(seed=99).flatten())  # buf is a copy
+    assert all(np.array_equal(a, b) for a, b in zip(forward(source), want))
+
+
+def test_construction_copies_the_given_tensors():
+    # the gradient check probes a replace() copy; its last write leaves one
+    # coordinate perturbed, which must not reach the parameters it copied
+    params = rand_params()
+    before = params.flat.copy()
+    probe = replace(params)
+    assert not np.shares_memory(probe.flat, params.flat)
+    probe.flat[...] = 1.0
+    probe.trm_b[0] = 2.0
+    assert params.flat.tobytes() == before.tobytes()
 
 
 def test_theta_bytes_stable_under_reads(rng):
@@ -326,10 +338,10 @@ def test_reps_bwd_matches_finite_differences(rng, m1, m2):
     WV = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
     WR = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
 
-    buf, work = rand_params(d, seed=20).flat_view()
+    work = replace(params)
 
     def objective(flat):
-        buf[...] = flat
+        work.flat[...] = flat
         V, R, _ = reps_fwd(tiers, protos, work, theta)
         return float(sum((v * w).sum() for v, w in zip(V, WV))
                      + sum((r * w).sum() for r, w in zip(R, WR)))
@@ -338,6 +350,6 @@ def test_reps_bwd_matches_finite_differences(rng, m1, m2):
     assert len(cache[1]) == (1 if m1 == m2 else 2)  # tier groups
     # the frozen block ran the K = 3 prototype rows as its only queries
     assert all(theta_cache[1].shape[-2] == 3 for _, _, theta_cache, _, _ in cache[1])
-    analytic = reps_bwd(cache, WV, WR).flatten()
-    errs = finite_difference_errors(objective, params.flatten(), analytic, 1e-5)
+    analytic = reps_bwd(cache, WV, WR)
+    errs = finite_difference_errors(objective, params.flat, analytic, 1e-5)
     assert errs.max() < 1e-6
