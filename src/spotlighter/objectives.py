@@ -7,7 +7,10 @@ similarity; classification logits are cosine over the pooled pair scaled by
 `losses_fwd_bwd` adds exact gradients w.r.t. the per-tier visual and text
 representatives, which `representative.reps_bwd` then turns into parameter
 gradients, and `losses_value` returns the total alone for the gradient
-check's finite-difference probes. Both take a `LossItem`, the item's
+check's finite-difference probes. The forward runs over any leading axes of
+the representatives, so a block of probes, one per row of a leading probe
+axis, is one call that returns one total per row; the backward serves one
+training item. Both take a `LossItem`, the item's
 constants (its text targets, the pooled softmax of its original tokens, its
 local loss and label), which `loss_item` computes once per item, not once
 per probe.
@@ -55,14 +58,16 @@ class LossBreakdown:
 # --------------------------------------------------------------------------
 
 def _pool_fwd(tokens: np.ndarray):
-    """Mean rows then normalize; returns (unit vector, cache)."""
+    """Mean rows then normalize, over any leading axes; returns (unit
+    vectors, cache)."""
     tokens = np.asarray(tokens, dtype=np.float64)
-    m = tokens.mean(axis=0)
-    nrm = float(np.linalg.norm(m))
-    if nrm < 1e-12:
+    m = tokens.mean(axis=-2)
+    # the norm as one dot product per row, the bits np.linalg.norm gives a vector
+    nrm = np.sqrt(m[..., None, :] @ m[..., :, None])[..., 0]
+    if np.any(nrm < 1e-12):
         raise ZeroVector("pooled token set has zero norm")
     v = m / nrm
-    return v, (v, nrm, tokens.shape[0])
+    return v, (v, nrm, tokens.shape[-2])
 
 
 def _pool_bwd(cache, dv: np.ndarray) -> np.ndarray:
@@ -74,22 +79,23 @@ def _pool_bwd(cache, dv: np.ndarray) -> np.ndarray:
 def _contrastive_fwd(v_tokens: np.ndarray, class_rows: np.ndarray, label: int, tau: float):
     """CE of the label under cosine logits between pooled sides.
 
-    class_rows is (C, R, d): R representative rows per class, pooled per
-    class by the same mean-then-normalize rule.
+    class_rows is (..., C, R, d): R representative rows per class, pooled per
+    class by the same mean-then-normalize rule. Leading axes, shared with the
+    (..., M, d) v_tokens, give one loss each.
     """
-    C = class_rows.shape[0]
+    C = class_rows.shape[-3]
     if not 0 <= label < C:
         raise LabelOutOfRange(f"label {label} of {C}")
     v, vcache = _pool_fwd(v_tokens)
-    m = class_rows.mean(axis=1)
-    nrm = np.linalg.norm(m, axis=1, keepdims=True)
+    m = class_rows.mean(axis=-2)
+    nrm = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.any(nrm < 1e-12):
         raise ZeroVector("pooled class representative has zero norm")
     Tp = m / nrm
-    z = (Tp @ v) / tau
-    zmax = float(z.max())
-    loss = float(np.log(np.exp(z - zmax).sum()) + zmax - z[label])
-    return loss, (v, vcache, nrm, Tp, z, label, tau, class_rows.shape[1])
+    z = (Tp @ v[..., None])[..., 0] / tau
+    zmax = z.max(axis=-1, keepdims=True)
+    loss = np.log(np.exp(z - zmax).sum(axis=-1)) + zmax[..., 0] - z[..., label]
+    return loss, (v, vcache, nrm, Tp, z, label, tau, class_rows.shape[-2])
 
 
 def _contrastive_bwd(cache, scale: float = 1.0):
@@ -109,7 +115,7 @@ def _kl_pooled_fwd(rep_tokens: np.ndarray, log_po: np.ndarray):
     r, rcache = _pool_fwd(rep_tokens)
     pr = softmax_rows(r)
     log_ratio = np.log(pr) - log_po
-    loss = float((pr * log_ratio).sum())
+    loss = (pr * log_ratio).sum(axis=-1)
     return loss, (rcache, pr, log_ratio)
 
 
@@ -126,19 +132,23 @@ def _kl_pooled_bwd(cache, scale: float = 1.0):
 
 def total_loss(cls: float, cls_low: float, cls_high: float, reg_text: float,
                kl_visual: float, local: float, weights: LossWeights) -> LossBreakdown:
-    """Weighted sum: cls + l1*(low+high) + l2*reg + l3*(kl+local)."""
-    parts = (cls, cls_low, cls_high, reg_text, kl_visual, local)
-    if not all(np.isfinite(parts)):
-        raise NonFiniteLoss(f"non-finite loss component: {parts}")
+    """Weighted sum: cls + l1*(low+high) + l2*reg + l3*(kl+local).
+
+    Parts given per probe row (arrays) give one total per row. A non-finite
+    part, at any weight, makes the total non-finite, which raises.
+    """
     total = (
         cls
         + weights.lambda1 * (cls_low + cls_high)
         + weights.lambda2 * reg_text
         + weights.lambda3 * (kl_visual + local)
     )
+    if not np.isfinite(total).all():
+        raise NonFiniteLoss("non-finite loss component: "
+                            f"{(cls, cls_low, cls_high, reg_text, kl_visual, local)}")
     return LossBreakdown(cls=cls, cls_low=cls_low, cls_high=cls_high,
                          reg_text=reg_text, kl_visual=kl_visual, local=local,
-                         total=float(total))
+                         total=total)
 
 
 # --------------------------------------------------------------------------
@@ -171,35 +181,40 @@ def loss_item(text_ori: np.ndarray, all_tokens: np.ndarray, n_tiers: int,
 
 
 def _objective_fwd(V_list, R_list, item: LossItem, weights: LossWeights):
-    """The weighted total of one item and the caches its backward needs."""
+    """The weighted total of one item and the caches its backward needs.
+
+    Representatives with leading (probe) axes, (..., K, d) and (..., C, d),
+    give one total per leading index.
+    """
     n_tiers = len(V_list)
     if n_tiers == 0 or n_tiers != len(R_list):
         raise DimMismatch("need one visual and one text set per tier")
-    R_all = np.vstack(R_list)
-    if R_all.shape != item.text_targets.shape:
+    R_all = np.concatenate(R_list, axis=-2)
+    if R_all.shape[-2:] != item.text_targets.shape:
         raise DimMismatch(f"text representatives must match the text tokens, "
                           f"{R_all.shape} vs {item.text_targets.shape}")
     tau, label = weights.tau, item.label
 
-    V_all = np.vstack(V_list)
-    class_rows = np.stack(R_list, axis=1)  # (C, n_tiers, d)
+    V_all = np.concatenate(V_list, axis=-2)
+    class_rows = np.stack(R_list, axis=-2)  # (..., C, n_tiers, d)
 
     cls, cls_cache = _contrastive_fwd(V_all, class_rows, label, tau)
     # graded per-tier terms: tier 1 is the high tier, tier 2 (if present) the low
-    tier_terms = [_contrastive_fwd(V, R[:, None, :], label, tau)
+    tier_terms = [_contrastive_fwd(V, R[..., None, :], label, tau)
                   for V, R in zip(V_list, R_list)]
     high, low = tier_terms[0][0], (tier_terms[1][0] if n_tiers > 1 else 0.0)
 
     diff = R_all - item.text_targets
-    reg = float(np.abs(diff).mean())
+    reg = np.abs(diff).mean(axis=(-2, -1))
 
     kl, kl_cache = _kl_pooled_fwd(V_all, item.log_po)
     breakdown = total_loss(cls, low, high, reg, kl, item.local, weights)
     return breakdown, (cls_cache, tier_terms, diff, kl_cache)
 
 
-def losses_value(V_list, R_list, item: LossItem, weights: LossWeights) -> float:
-    """The total loss alone, for repeated probing (finite differences)."""
+def losses_value(V_list, R_list, item: LossItem, weights: LossWeights):
+    """The total loss alone, for finite-difference probing: one total per
+    probe row when the representatives lead with a probe axis."""
     return _objective_fwd(V_list, R_list, item, weights)[0].total
 
 

@@ -10,8 +10,9 @@ the fusion parameters only. The frozen transformer block, the feature arrays,
 and the text embeddings are never written to.
 
 The gradient check runs the same front end once per seed, then compares the
-analytic gradient against central differences of the same forward: every
-probe calls the cache-free `reps_fwd` and `losses_value`, which shares its
+analytic gradient against central differences of the same forward: each
+block of probe rows is one call of the cache-free `reps_fwd` and of
+`losses_value` over a leading probe axis, and `losses_value` shares its
 forward with `losses_fwd_bwd`, so the check has no copy of the objective.
 
 Inference has one path, `predict_batch`, which walks the items in chunks of
@@ -27,7 +28,7 @@ classifies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -535,13 +536,13 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5) 
 def _fast_objective(params: FusionParams, tiers, protos, theta: TransformerBlockParams,
                     item, weights: LossWeights):
     """Value-only total-loss closure for finite-difference probing: the
-    training forward, cache-free, against the item's `LossItem`, on a
-    `replace` copy of `params` whose `flat` each probe loads (one copy)."""
-    work = replace(params)
+    training forward, cache-free, against the item's `LossItem`, over a
+    leading probe axis. It loads a (P, n) block of parameter rows as views
+    (`FusionParams.over`) and returns their P totals; `params` is only read."""
 
-    def objective(flat: np.ndarray) -> float:
-        work.flat[...] = flat
-        V_list, R_list, _ = reps_fwd(tiers, protos, work, theta, keep_cache=False)
+    def objective(rows: np.ndarray) -> np.ndarray:
+        V_list, R_list, _ = reps_fwd(tiers, protos, params.over(rows), theta,
+                                     keep_cache=False)
         return losses_value(V_list, R_list, item, weights)
 
     return objective

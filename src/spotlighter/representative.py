@@ -17,23 +17,26 @@ layer (shared by both tiers) maps the pair back to width d with a residual
 scaled by alpha.
 
 `reps_fwd` runs only the work the parameters touch, over an optional leading
-item axis, with backward caches or (batched prediction, finite-difference
-probes) without; `reps_bwd` turns representative gradients into the exact
-gradient, one vector laid out like `FusionParams.flat`, and the frozen block
-routes gradients but never receives them.
+item axis (batched prediction) or a leading probe axis of the parameters
+themselves (`FusionParams.over`: one finite-difference probe per row), with
+backward caches or (prediction, probes) without; `reps_bwd` turns
+representative gradients into the exact gradient, one vector laid out like
+`FusionParams.flat`, and the frozen block routes gradients but never
+receives them.
 
 Both functions work on tier groups, each one IRM call and one frozen-block
 call over a tier axis, the last leading axis of the block inputs, against
-which the stacked IRM weights broadcast. The tiers of one item (a training step, a
-gradient-check probe) form one group when they hold the same number of
-tokens, which even k gives, and one group each otherwise: a group of one is
-the same code with a tier axis of length 1. Tiers with an item axis (batched
+which the stacked IRM weights broadcast. The tiers of one item (a training
+step, a block of gradient-check probes) form one group when they hold the
+same number of tokens, which even k gives, and one group each otherwise: a
+group of one is the same code with a tier axis of length 1. Tiers with an item axis (batched
 prediction) stay one group each: the item axis already amortises the call
 overhead, and stacking both tiers there made the bulk forwards slower.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +62,8 @@ class FusionParams:
     trm_w maps the concatenated (text token, aggregate) pair of width 2d back
     to d. Construction copies the given tensors into `flat`, one float64
     vector in `tensors()` order, and rebinds irm, trm_w and trm_b as views of
-    it; the SGD step and the finite-difference probe write that vector.
+    it; the SGD step writes that vector, and `over` lays the same views over
+    a block of finite-difference probe rows.
     """
 
     irm: TransformerBlockParams
@@ -76,21 +80,37 @@ class FusionParams:
         d = self.irm.d_model
         if np.shape(self.trm_w) != (2 * d, d) or np.shape(self.trm_b) != (d,):
             raise DimMismatch(f"TRM weights must be ({2 * d}, {d}) and ({d},)")
-        self.flat = np.concatenate([np.ravel(a) for _, a in self.tensors()], dtype=np.float64)
-        irm, self.trm_w, self.trm_b = self._views(self.flat)
+        self._bind(np.concatenate([np.ravel(a) for _, a in self.tensors()], dtype=np.float64))
+
+    def _bind(self, buf: np.ndarray):
+        self.flat = buf
+        irm, self.trm_w, self.trm_b = self._views(buf)
         self.irm = TransformerBlockParams(n_heads=self.irm.n_heads, **irm)
 
     def _views(self, buf: np.ndarray):
         """(stacked IRM tensors by name, trm_w, trm_b) viewing a wire-order
-        vector. The two IRM blocks share one layout, one block apart, so each
+        vector, or (P, n) rows of them with the probe axis leading every
+        tensor. The two IRM blocks share one layout, one block apart, so each
         stacked tensor is a strided view."""
-        d = self.d_model
-        n_block = (buf.size - 2 * d * d - d) // 2
-        blocks, pos, irm = buf[: 2 * n_block].reshape(2, n_block), 0, {}
+        d, lead = self.d_model, buf.shape[:-1]
+        n_block = (buf.shape[-1] - 2 * d * d - d) // 2
+        blocks, pos, irm = buf[..., : 2 * n_block].reshape(*lead, 2, n_block), 0, {}
         for name, a in self.irm.tensors():
-            irm[name] = blocks[:, pos : pos + a.size // 2].reshape(a.shape)
+            irm[name] = blocks[..., pos : pos + a.size // 2].reshape(*lead, *a.shape)
             pos += a.size // 2
-        return irm, buf[2 * n_block : -d].reshape(2 * d, d), buf[-d:]
+        return irm, buf[..., 2 * n_block : -d].reshape(*lead, 2 * d, d), buf[..., -d:]
+
+    def over(self, rows: np.ndarray) -> "FusionParams":
+        """These parameters' layout over other values, without a copy: `rows`
+        is (P, n), one wire-order vector per probe row, and every tensor of the
+        result leads with that probe axis (irm.wq is (P, 2, d, d)). Call it on
+        vector-layout parameters."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape[-1:] != self.flat.shape:
+            raise DimMismatch(f"rows of {self.flat.size} parameters expected, got {rows.shape}")
+        out = copy.copy(self)
+        out._bind(rows)
+        return out
 
     @property
     def d_model(self) -> int:
@@ -170,11 +190,14 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
     half of Z. Stacked inputs — (N, m, d) tier tokens and (N, K, d) prototypes
     — give (N, K, d) and (N, C, d) sets. Each tier group runs its blocks once
     over a tier axis; the frozen block computes only the K fused-prototype
-    rows, as queries over [fused; tier tokens]. With keep_cache=False the
-    blocks drop their intermediates and the returned cache is None.
+    rows, as queries over [fused; tier tokens]. Parameters with a probe axis
+    (`FusionParams.over`) put it in front of every output: (P, K, d) and
+    (P, C, d) sets. With keep_cache=False the blocks drop their intermediates
+    and the returned cache is None.
     """
     protos = np.asarray(class_protos, dtype=np.float64)
     K, d = protos.shape[-2:]
+    probe = (slice(None),) * (params.flat.ndim - 1)
 
     def block(Q, KV, p):
         if keep_cache:
@@ -186,12 +209,14 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
         first, T = group[0][0], len(group)
         tokens = np.stack([tok for _, tok, _ in group], axis=-3)  # (..., T, m, d)
         fused, irm_cache = block(protos[..., None, :, :], tokens,
-                                 params.irm[first : first + T])
-        seq = np.concatenate([fused, tokens], axis=-2)
+                                 params.irm[(*probe, slice(first, first + T))])
+        seq = np.concatenate([fused, np.broadcast_to(tokens, (*fused.shape[:-2],
+                                                              *tokens.shape[-2:]))], axis=-2)
         out, theta_cache = block(K, seq, theta)
         for i, (_, _, Z) in enumerate(group):
             V_list.append(out[..., i, :, :])
-            R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b) + Z[..., :d])
+            R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b[..., None, :])
+                          + Z[..., :d])
         if keep_cache:
             group_caches.append((first, irm_cache, theta_cache, [Z for _, _, Z in group], K))
     return V_list, R_list, (params, group_caches) if keep_cache else None

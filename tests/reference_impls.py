@@ -139,3 +139,20 @@ def ref_contrastive(v_tokens, class_rows, label, tau):
     mx = max(logits)
     ex = [math.exp(z - mx) for z in logits]
     return -math.log(ex[label] / sum(ex))
+
+
+def ref_finite_difference_errors(f, x0, analytic, eps):
+    """One probe per call: f maps one parameter vector to its value, and
+    coordinate i is raised, then lowered, then restored in place."""
+    x = np.array(x0, dtype=float)
+    errors = np.empty(x.size)
+    for i in range(x.size):
+        orig = x[i]
+        x[i] = orig + eps
+        f_plus = float(f(x))
+        x[i] = orig - eps
+        f_minus = float(f(x))
+        x[i] = orig
+        fd = (f_plus - f_minus) / (2.0 * eps)
+        errors[i] = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]))
+    return errors

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from spotlighter import numerics, pipeline
+from spotlighter.cli import _GRADCHECK_DEFAULTS
 from spotlighter.config import RunConfig
 from spotlighter.errors import NonFiniteLoss
 from spotlighter.features import generate_base_novel
@@ -18,18 +20,22 @@ from spotlighter.pipeline import _fast_objective, _front_end, gradcheck_total_lo
 from spotlighter.representative import FusionParams, reps_fwd
 from spotlighter.rng import Stream
 
+from .reference_impls import ref_finite_difference_errors
+
 
 def _block_fd_error(p, Q, KV, W):
     """Worst finite-difference error of every weight gradient of one block
     call (weights with or without leading axes)."""
     ends = np.cumsum([a.size for _, a in p.tensors()])[:-1]
 
-    def objective(flat):
+    def objective(rows):
+        # the probe rows become one more leading weight axis, which the block
+        # broadcasts against the inputs: one call serves the whole block
         probe = TransformerBlockParams(n_heads=p.n_heads, **{
-            name: chunk.reshape(a.shape)
-            for (name, a), chunk in zip(p.tensors(), np.split(flat, ends))})
+            name: chunk.reshape(len(rows), *a.shape)
+            for (name, a), chunk in zip(p.tensors(), np.split(rows, ends, axis=1))})
         out, _ = transformer_block_fwd(Q, KV, probe)
-        return float((out * W).sum())
+        return (out * W).reshape(len(rows), -1).sum(axis=1)
 
     out, cache = transformer_block_fwd(Q, KV, p)
     _, _, grads = transformer_block_bwd(cache, W)
@@ -67,10 +73,10 @@ def test_contrastive_gradients_on_two_class_toy():
     x0 = np.concatenate([v_tokens.ravel(), class_rows.ravel()])
     analytic = np.concatenate([dv_tokens.ravel(), d_rows.ravel()])
 
-    def objective(flat):
-        v = flat[:18].reshape(3, 6)
-        rows = flat[18:].reshape(2, 2, 6)
-        val, _ = _contrastive_fwd(v, rows, label, tau)
+    def objective(rows):
+        v = rows[:, :18].reshape(-1, 3, 6)
+        class_rows = rows[:, 18:].reshape(-1, 2, 2, 6)
+        val, _ = _contrastive_fwd(v, class_rows, label, tau)
         return val
 
     assert finite_difference_errors(objective, x0, analytic, 1e-5).max() < 1e-4
@@ -110,10 +116,10 @@ def test_probe_value_is_the_training_total(k_act, n_tiers):
     item = loss_item(text, X, len(tiers), local, label)
     want = losses_fwd_bwd(V, R, item, cfg.loss_weights())[0].total
     objective = _fast_objective(params, tiers, protos, theta, item, cfg.loss_weights())
-    assert objective(params.flat) == want
+    assert objective(params.flat[None])[0] == want
     # a probe elsewhere leaves the parameters it was built from as they were
     before = params.flat.copy()
-    objective(before + 1e-3)
+    objective(before[None] + 1e-3)
     assert params.flat.tobytes() == before.tobytes()
 
 
@@ -135,8 +141,51 @@ def test_gradcheck_rejects_large_width():
 
 
 def test_grad_check_raises_on_non_finite():
-    def bad(x):
-        return float("nan")
+    def bad(rows):
+        return np.full(len(rows), np.nan)
 
     with pytest.raises(NonFiniteLoss):
         finite_difference_errors(bad, np.zeros(2), np.zeros(2))
+
+
+def test_grad_check_names_the_first_non_finite_coordinate(monkeypatch):
+    # rows 5 (coordinate 2 lowered), 6 and 7 (coordinate 3) are infinite;
+    # blocks of 5 rows put the first of them at the start of the second block
+    monkeypatch.setattr(numerics, "_FD_BLOCK", 5)
+
+    def bad(rows):
+        return np.where((rows[:, 2] < 0) | (rows[:, 3] != 0), np.inf, 0.0)
+
+    with pytest.raises(NonFiniteLoss, match="coordinate 2$"):
+        finite_difference_errors(bad, np.zeros(4), np.zeros(4))
+
+
+def _gradcheck_probes(monkeypatch, seed):
+    """(objective, x0, analytic, eps) of every seed `gradcheck_total_loss`
+    checks at the CLI's config, as it hands them to the harness."""
+    calls = []
+
+    def capture(f, x0, analytic, eps):
+        calls.append((f, x0.copy(), analytic, eps))
+        return finite_difference_errors(f, x0, analytic, eps)
+
+    monkeypatch.setattr(pipeline, "finite_difference_errors", capture)
+    cfg = RunConfig().with_overrides(**_GRADCHECK_DEFAULTS, seed=seed)
+    gradcheck_total_loss(cfg, n_seeds=2)
+    return calls
+
+
+@pytest.mark.parametrize("block", [numerics._FD_BLOCK, 1, 7])
+def test_blocked_probes_equal_the_serial_loop_bitwise(monkeypatch, block):
+    # the oracle probes one vector at a time through the forward without a
+    # probe axis; the harness probes blocks of rows, of any size (1, and 7,
+    # which divides no 2n here and splits a coordinate's two probes across
+    # blocks), and must return the same bytes
+    calls = _gradcheck_probes(monkeypatch, seed=3)
+    assert len(calls) == 2
+    monkeypatch.setattr(numerics, "_FD_BLOCK", block)
+    for f, x0, analytic, eps in calls:
+        assert (2 * x0.size) % 7 != 0
+        want = ref_finite_difference_errors(f, x0, analytic, eps)
+        got = finite_difference_errors(f, x0, analytic, eps)
+        assert got.tobytes() == want.tobytes()

@@ -284,17 +284,30 @@ def test_stacked_block_serves_outer_item_axes(rng):
 # --- finite_difference_errors ----------------------------------------------
 
 def test_grad_check_quadratic():
-    err = finite_difference_errors(lambda x: float(x[0] ** 2), np.array([3.0]),
+    err = finite_difference_errors(lambda X: X[:, 0] ** 2, np.array([3.0]),
                                    np.array([6.0])).max()
     assert err < 1e-9
 
 
 def test_grad_check_flags_wrong_gradient():
-    err = finite_difference_errors(lambda x: float(x[0] ** 2), np.array([3.0]),
+    err = finite_difference_errors(lambda X: X[:, 0] ** 2, np.array([3.0]),
                                    np.array([6.5])).max()
     assert err > 1e-2
 
 
+def test_grad_check_rejects_a_non_vector_x0():
+    with pytest.raises(DimMismatch):
+        finite_difference_errors(lambda X: X.sum(axis=1), np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def test_grad_check_rejects_one_value_for_a_block():
+    # an objective of one vector, not of a block of rows, would broadcast
+    with pytest.raises(DimMismatch):
+        finite_difference_errors(lambda X: float(X[0, 0] ** 2), np.array([3.0]),
+                                 np.array([6.0]))
+
+
 def test_grad_check_eps_range():
     with pytest.raises(ValueError):
-        finite_difference_errors(lambda x: 0.0, np.zeros(1), np.zeros(1), eps=1e-2)
+        finite_difference_errors(lambda X: np.zeros(len(X)), np.zeros(1), np.zeros(1),
+                                 eps=1e-2)

@@ -10,6 +10,7 @@ from spotlighter.objectives import (
     LossWeights,
     loss_item,
     losses_fwd_bwd,
+    losses_value,
     total_loss,
 )
 
@@ -199,14 +200,14 @@ def test_losses_fwd_bwd_gradients_wrt_representatives(rng):
     analytic = np.concatenate([dV[0].ravel(), dV[1].ravel(),
                                dR[0].ravel(), dR[1].ravel()])
 
-    def objective(flat):
+    def objective(rows):
+        # the probe rows as a leading axis of every representative set
         n = K * d
         m = C * d
-        Vs = [flat[:n].reshape(K, d), flat[n : 2 * n].reshape(K, d)]
-        Rs = [flat[2 * n : 2 * n + m].reshape(C, d),
-              flat[2 * n + m :].reshape(C, d)]
-        b, _, _ = losses_fwd_bwd(Vs, Rs, item, w)
-        return b.total
+        Vs = [rows[:, :n].reshape(-1, K, d), rows[:, n : 2 * n].reshape(-1, K, d)]
+        Rs = [rows[:, 2 * n : 2 * n + m].reshape(-1, C, d),
+              rows[:, 2 * n + m :].reshape(-1, C, d)]
+        return losses_value(Vs, Rs, item, w)
 
     errs = finite_difference_errors(objective, x0, analytic, 1e-5)
     assert errs.max() < 1e-6

@@ -302,8 +302,8 @@ def test_params_share_one_flat_buffer(rng):
 
 
 def test_construction_copies_the_given_tensors():
-    # the gradient check probes a replace() copy; its last write leaves one
-    # coordinate perturbed, which must not reach the parameters it copied
+    # a replace() copy owns its vector: writing it leaves the parameters it
+    # copied as they were
     params = rand_params()
     before = params.flat.copy()
     probe = replace(params)
@@ -338,13 +338,10 @@ def test_reps_bwd_matches_finite_differences(rng, m1, m2):
     WV = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
     WR = [rng.normal(size=(3, d)), rng.normal(size=(3, d))]
 
-    work = replace(params)
-
-    def objective(flat):
-        work.flat[...] = flat
-        V, R, _ = reps_fwd(tiers, protos, work, theta)
-        return float(sum((v * w).sum() for v, w in zip(V, WV))
-                     + sum((r * w).sum() for r, w in zip(R, WR)))
+    def objective(rows):
+        V, R, _ = reps_fwd(tiers, protos, params.over(rows), theta, keep_cache=False)
+        return (sum((v * w).sum(axis=(-2, -1)) for v, w in zip(V, WV))
+                + sum((r * w).sum(axis=(-2, -1)) for r, w in zip(R, WR)))
 
     V, R, cache = reps_fwd(tiers, protos, params, theta)
     assert len(cache[1]) == (1 if m1 == m2 else 2)  # tier groups
