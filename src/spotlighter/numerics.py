@@ -4,8 +4,8 @@ gradient verification.
 
 Everything is float64 and pure-numpy. The block has one forward pass:
 
-* ``transformer_block_fwd``   forward over any leading axes, returning a cache
-                              for the backward pass
+* ``transformer_block_fwd``   forward over any leading axes, queries given as
+                              rows, returning a cache for the backward pass
 * ``transformer_block_bwd``   exact gradients w.r.t. inputs and, unless asked
                               not to, every tensor
 * ``transformer_block_batch`` the same forward with the cache dropped
@@ -191,9 +191,6 @@ class TransformerBlockParams:
         """Fixed-order (name, array) pairs; the order is the wire order."""
         return [(name, getattr(self, name)) for name in TENSOR_ORDER]
 
-    def n_params(self) -> int:
-        return sum(int(a.size) for _, a in self.tensors())
-
     def to_bytes(self) -> bytes:
         """Concatenated float64 little-endian tensor bytes, wire order."""
         return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in self.tensors())
@@ -254,20 +251,18 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(-2, -3).reshape(*lead, L, H * dh)
 
 
-def transformer_block_fwd(Q: np.ndarray | int, KV: np.ndarray, p: TransformerBlockParams):
+def transformer_block_fwd(Q: np.ndarray, KV: np.ndarray, p: TransformerBlockParams):
     """Pre-LN block: attention(LN(Q), LN(KV)) + Q, then FFN(LN(.)) + residual.
 
     Q is (..., q, d) and KV (..., n, d); their leading axes and those of the
-    weights broadcast as numpy aligns them, from the right. An int Q = q
-    means the queries are the first q rows of KV (q = n is self-attention):
-    KV is normalised once and the query rows, their normalised rows and their
-    layer-norm cache are views of KV's. Returns (output (..., q, d), cache)
-    where the cache carries every intermediate needed for the exact backward
-    pass.
+    weights broadcast as numpy aligns them, from the right. Returns (output
+    (..., q, d), cache) where the cache carries every intermediate needed for
+    the exact backward pass.
     """
+    Q = np.asarray(Q, dtype=np.float64)
     KV = np.asarray(KV, dtype=np.float64)
     d = p.d_model
-    if KV.shape[-1] != d:
+    if Q.shape[-1] != d or KV.shape[-1] != d:
         raise DimMismatch(f"inputs must have width {d}")
 
     def row(v):  # a bias or LN vector, broadcast over the rows of its weight set
@@ -276,18 +271,8 @@ def transformer_block_fwd(Q: np.ndarray | int, KV: np.ndarray, p: TransformerBlo
     dh = d // p.n_heads
     scale = 1.0 / np.sqrt(dh)
 
+    Qn, ln_q = layer_norm_fwd(Q, row(p.ln1_g), row(p.ln1_b))
     KVn, ln_kv = layer_norm_fwd(KV, row(p.ln1_g), row(p.ln1_b))
-    if isinstance(Q, (int, np.integer)):
-        if not 1 <= Q <= KV.shape[-2]:
-            raise DimMismatch(f"{Q} query rows of {KV.shape[-2]} key/value rows")
-        rows = (..., slice(None, Q), slice(None))
-        xhat, inv, g = ln_kv
-        Q, Qn, ln_q = KV[rows], KVn[rows], (xhat[rows], inv[rows], g)
-    else:
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.shape[-1] != d:
-            raise DimMismatch(f"inputs must have width {d}")
-        Qn, ln_q = layer_norm_fwd(Q, row(p.ln1_g), row(p.ln1_b))
 
     qh = _split_heads(Qn @ p.wq + row(p.bq), p.n_heads)      # (..., H, q, dh)
     kh = _split_heads(KVn @ p.wk + row(p.bk), p.n_heads)     # (..., H, n, dh)
@@ -358,7 +343,7 @@ def transformer_block_bwd(cache, dY: np.ndarray, param_grads: bool = True):
     return dQ, dKV, grads
 
 
-def transformer_block_batch(Q: np.ndarray | int, KV: np.ndarray,
+def transformer_block_batch(Q: np.ndarray, KV: np.ndarray,
                             p: TransformerBlockParams) -> np.ndarray:
     """`transformer_block_fwd` with the cache dropped."""
     return transformer_block_fwd(Q, KV, p)[0]

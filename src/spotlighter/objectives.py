@@ -76,17 +76,17 @@ def _pool_bwd(cache, dv: np.ndarray) -> np.ndarray:
     return np.broadcast_to(dm / M, (M, dm.shape[0])).copy()
 
 
-def _contrastive_fwd(v_tokens: np.ndarray, class_rows: np.ndarray, label: int, tau: float):
+def _contrastive_fwd(v: np.ndarray, class_rows: np.ndarray, label: int, tau: float):
     """CE of the label under cosine logits between pooled sides.
 
-    class_rows is (..., C, R, d): R representative rows per class, pooled per
-    class by the same mean-then-normalize rule. Leading axes, shared with the
-    (..., M, d) v_tokens, give one loss each.
+    v is the (..., d) pooled visual set (`_pool_fwd`). class_rows is
+    (..., C, R, d): R representative rows per class, pooled per class by the
+    same mean-then-normalize rule. Leading axes, shared with v, give one loss
+    each.
     """
     C = class_rows.shape[-3]
     if not 0 <= label < C:
         raise LabelOutOfRange(f"label {label} of {C}")
-    v, vcache = _pool_fwd(v_tokens)
     m = class_rows.mean(axis=-2)
     nrm = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.any(nrm < 1e-12):
@@ -95,11 +95,12 @@ def _contrastive_fwd(v_tokens: np.ndarray, class_rows: np.ndarray, label: int, t
     z = (Tp @ v[..., None])[..., 0] / tau
     zmax = z.max(axis=-1, keepdims=True)
     loss = np.log(np.exp(z - zmax).sum(axis=-1)) + zmax[..., 0] - z[..., label]
-    return loss, (v, vcache, nrm, Tp, z, label, tau, class_rows.shape[-2])
+    return loss, (v, nrm, Tp, z, label, tau, class_rows.shape[-2])
 
 
 def _contrastive_bwd(cache, scale: float = 1.0):
-    v, vcache, nrm, Tp, z, label, tau, R = cache
+    """(gradient w.r.t. the pooled v, gradient w.r.t. class_rows)."""
+    v, nrm, Tp, z, label, tau, R = cache
     dz = softmax_rows(z)
     dz[label] -= 1.0
     dz *= scale / tau
@@ -107,23 +108,23 @@ def _contrastive_bwd(cache, scale: float = 1.0):
     dTp = np.outer(dz, v)
     dm = (dTp - Tp * (Tp * dTp).sum(axis=1, keepdims=True)) / nrm
     d_class_rows = np.repeat(dm[:, None, :] / R, R, axis=1)
-    return _pool_bwd(vcache, dv), d_class_rows
+    return dv, d_class_rows
 
 
-def _kl_pooled_fwd(rep_tokens: np.ndarray, log_po: np.ndarray):
-    """KL(softmax(pool(rep)) || po), given log po of the original tokens."""
-    r, rcache = _pool_fwd(rep_tokens)
+def _kl_pooled_fwd(r: np.ndarray, log_po: np.ndarray):
+    """KL(softmax(r) || po) of a pooled set r, given log po of the original
+    tokens."""
     pr = softmax_rows(r)
     log_ratio = np.log(pr) - log_po
     loss = (pr * log_ratio).sum(axis=-1)
-    return loss, (rcache, pr, log_ratio)
+    return loss, (pr, log_ratio)
 
 
 def _kl_pooled_bwd(cache, scale: float = 1.0):
-    rcache, pr, log_ratio = cache
+    """Gradient w.r.t. the pooled set r."""
+    pr, log_ratio = cache
     dpr = (log_ratio + 1.0) * scale
-    dr = pr * (dpr - float(dpr @ pr))
-    return _pool_bwd(rcache, dr)
+    return pr * (dpr - float(dpr @ pr))
 
 
 # --------------------------------------------------------------------------
@@ -195,21 +196,22 @@ def _objective_fwd(V_list, R_list, item: LossItem, weights: LossWeights):
                           f"{R_all.shape} vs {item.text_targets.shape}")
     tau, label = weights.tau, item.label
 
-    V_all = np.concatenate(V_list, axis=-2)
+    v_all, v_cache = _pool_fwd(np.concatenate(V_list, axis=-2))
     class_rows = np.stack(R_list, axis=-2)  # (..., C, n_tiers, d)
 
-    cls, cls_cache = _contrastive_fwd(V_all, class_rows, label, tau)
+    cls, cls_cache = _contrastive_fwd(v_all, class_rows, label, tau)
     # graded per-tier terms: tier 1 is the high tier, tier 2 (if present) the low
-    tier_terms = [_contrastive_fwd(V, R[..., None, :], label, tau)
-                  for V, R in zip(V_list, R_list)]
+    tier_pools = [_pool_fwd(V) for V in V_list]
+    tier_terms = [_contrastive_fwd(v, R[..., None, :], label, tau)
+                  for (v, _), R in zip(tier_pools, R_list)]
     high, low = tier_terms[0][0], (tier_terms[1][0] if n_tiers > 1 else 0.0)
 
     diff = R_all - item.text_targets
     reg = np.abs(diff).mean(axis=(-2, -1))
 
-    kl, kl_cache = _kl_pooled_fwd(V_all, item.log_po)
+    kl, kl_cache = _kl_pooled_fwd(v_all, item.log_po)
     breakdown = total_loss(cls, low, high, reg, kl, item.local, weights)
-    return breakdown, (cls_cache, tier_terms, diff, kl_cache)
+    return breakdown, (v_cache, cls_cache, tier_pools, tier_terms, diff, kl_cache)
 
 
 def losses_value(V_list, R_list, item: LossItem, weights: LossWeights):
@@ -226,18 +228,19 @@ def losses_fwd_bwd(V_list, R_list, item: LossItem, weights: LossWeights):
     dR_list); the local loss enters the total as a constant of the trainable
     parameters.
     """
-    breakdown, (cls_cache, tier_terms, diff, kl_cache) = _objective_fwd(
+    breakdown, (v_cache, cls_cache, tier_pools, tier_terms, diff, kl_cache) = _objective_fwd(
         V_list, R_list, item, weights)
 
-    dV_all, d_class_rows = _contrastive_bwd(cls_cache)
-    dV_all += _kl_pooled_bwd(kl_cache, weights.lambda3)
+    dv_all, d_class_rows = _contrastive_bwd(cls_cache)
+    dV_all = _pool_bwd(v_cache, dv_all)
+    dV_all += _pool_bwd(v_cache, _kl_pooled_bwd(kl_cache, weights.lambda3))
     dR_sign = weights.lambda2 * np.sign(diff) / diff.size
 
     K = V_list[0].shape[0]
     C = R_list[0].shape[0]
     dV_list, dR_list = [], []
-    for i, (_, cache) in enumerate(tier_terms):
-        dV_t, dR_t = _contrastive_bwd(cache, weights.lambda1)
-        dV_list.append(dV_all[i * K : (i + 1) * K] + dV_t)
+    for i, ((_, pool_cache), (_, cache)) in enumerate(zip(tier_pools, tier_terms)):
+        dv_t, dR_t = _contrastive_bwd(cache, weights.lambda1)
+        dV_list.append(dV_all[i * K : (i + 1) * K] + _pool_bwd(pool_cache, dv_t))
         dR_list.append(d_class_rows[:, i, :] + dR_sign[i * C : (i + 1) * C] + dR_t[:, 0, :])
     return breakdown, dV_list, dR_list

@@ -28,7 +28,7 @@ classifies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -341,13 +341,6 @@ class BenchRow:
     flops: int
     rep_times: list
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "items_per_sec": self.items_per_sec,
-            "wallclock_s": self.wallclock_s, "accuracy": self.accuracy,
-            "flops": self.flops, "rep_times": self.rep_times,
-        }
-
 
 @dataclass
 class ThroughputReport:
@@ -358,16 +351,10 @@ class ThroughputReport:
     trainable_param_count: int
     note: str
 
-    def row_at(self, k: int) -> BenchRow:
-        for row in self.rows:
-            if row.k == k:
-                return row
-        raise KeyError(f"no benchmark row for k={k}")
-
     def to_dict(self) -> dict:
         return {
-            "rows": [r.to_dict() for r in self.rows],
-            "full_token": self.full_row.to_dict() if self.full_row else None,
+            "rows": [asdict(r) for r in self.rows],
+            "full_token": asdict(self.full_row) if self.full_row else None,
             "n_items": self.n_items, "reps": self.reps,
             "trainable_param_count": self.trainable_param_count,
             "note": self.note,
@@ -417,25 +404,25 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
     """Median items/second per k, plus the full-token reference (None for
     remove-top-k, which cannot keep every token).
 
-    The workload is a fresh synthetic split over the training classes;
-    generation happens before any clock starts.
+    The workload is a fresh synthetic split over the classes the bank was
+    trained on, which the flop count also uses; generation happens before any
+    clock starts.
     """
-    cfg = state.config
+    cfg = state.config.with_overrides(n_classes=state.bank.n_classes)
     if n_items < 100:
         raise WorkloadTooSmall(f"need >= 100 items, got {n_items}")
     if reps < 1 or warmup < 0:
         raise ConfigError(f"bench needs reps >= 1 and warmup >= 0, got {reps} and {warmup}")
+    ks = sorted({int(k) for k in k_list})
+    for k in ks:
+        if not 1 <= k <= cfg.n_tok:
+            raise ConfigError(f"bench k={k} outside [1, {cfg.n_tok}]")
     per_class = -(-n_items // cfg.n_classes)
     _, workload, _ = generate_base_novel(cfg.synth_spec(), 1, per_class)
     ctx = make_eval_class_set(state, workload.text_embeddings, True)
     tokens = np.asarray(workload.tokens, dtype=np.float64)
     labels = np.asarray(workload.labels, dtype=np.int64)
     actual = workload.n_items
-
-    ks = sorted({int(k) for k in k_list})
-    for k in ks:
-        if not 1 <= k <= cfg.n_tok:
-            raise ConfigError(f"bench k={k} outside [1, {cfg.n_tok}]")
 
     def measure(k: int) -> BenchRow:
         for _ in range(warmup):

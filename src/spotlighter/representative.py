@@ -3,8 +3,8 @@
 Visual side: one trainable cross-attention block per tier takes the class
 prototypes as queries and the tier tokens as keys/values; the fused
 prototypes then pass through a frozen, seeded transformer block (`theta`, a
-plain `TransformerBlockParams` that nothing trains) in which the K fused
-prototype rows attend over [fused; tier tokens]; its K output rows are the
+plain `TransformerBlockParams` that nothing trains) as its K query rows over
+the keys/values [fused; tier tokens]; its K output rows are the
 representative visual tokens. The tier-token rows are keys and values only,
 since nothing reads their outputs. The trainable tensors live in one float64
 vector (`FusionParams.flat`); the two IRM blocks view it on a leading tier axis.
@@ -212,7 +212,7 @@ def reps_fwd(tiers, class_protos: np.ndarray, params: FusionParams,
                                  params.irm[(*probe, slice(first, first + T))])
         seq = np.concatenate([fused, np.broadcast_to(tokens, (*fused.shape[:-2],
                                                               *tokens.shape[-2:]))], axis=-2)
-        out, theta_cache = block(K, seq, theta)
+        out, theta_cache = block(fused, seq, theta)
         for i, (_, _, Z) in enumerate(group):
             V_list.append(out[..., i, :, :])
             R_list.append(params.alpha * (Z @ params.trm_w + params.trm_b[..., None, :])

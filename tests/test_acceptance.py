@@ -206,7 +206,7 @@ def test_criterion_8_efficiency_direction(default_state):
     cfg = default_state.config
     k_quarter = cfg.n_tok // 4
     rep = bench_throughput(default_state, n_items=1000, k_list=[k_quarter], reps=5)
-    pruned = rep.row_at(k_quarter).items_per_sec
+    pruned = next(row.items_per_sec for row in rep.rows if row.k == k_quarter)
     full = rep.full_row.items_per_sec
     flops = [flop_count_inference(cfg, k) for k in range(1, cfg.n_tok + 1)]
     monotone = all(b > a for a, b in zip(flops, flops[1:]))

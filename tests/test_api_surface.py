@@ -1,18 +1,36 @@
-"""Every name the package exports is used by the program, not only by the
-tests: a name that only tests call is a second copy of a computation or a
-hook that production never runs."""
+"""Every name the package exports, every public module-level function and
+every public method of a package class is used by the program, not only by
+the tests: a name that only tests call is a second copy of a computation or
+a hook that production never runs."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spotlighter"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+PROGRAM = MODULES + sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return sorted(alias.asname or alias.name for node in tree.body
                   if isinstance(node, ast.ImportFrom) for alias in node.names)
+
+
+def _public_definitions():
+    """(qualified name, name) of each public module-level function and each
+    public method of a class defined in the package's modules."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out.append((f"{path.stem}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                out += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
 
 
 def _used_names(paths):
@@ -29,8 +47,12 @@ def _used_names(paths):
 
 
 def test_every_export_is_used_beyond_the_tests():
-    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    program += sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-    used = _used_names(program)
+    used = _used_names(PROGRAM)
     unused = [name for name in _exported_names() if name not in used]
     assert not unused, f"exported but used only by tests (or nowhere): {unused}"
+
+
+def test_every_public_function_and_method_is_used_beyond_the_tests():
+    used = _used_names(PROGRAM)
+    unused = [qualified for qualified, name in _public_definitions() if name not in used]
+    assert not unused, f"defined but used only by tests (or nowhere): {unused}"

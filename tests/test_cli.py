@@ -326,6 +326,26 @@ def test_bench_runs_on_a_remove_top_k_checkpoint(capsys, workdir):
             == pipeline.flop_count_inference(replace(cfg, selection_variant="top-k"), 6))
 
 
+def test_bench_uses_the_class_count_the_bank_was_trained_on(capsys, workdir):
+    # trained on 3-class features under the default --n-classes (10): the
+    # bench workload and its flop count follow the bank, not the config
+    data = gen_tiny(capsys, workdir)
+    i = TINY_FLAGS.index("--n-classes")
+    flags = TINY_FLAGS[:i] + TINY_FLAGS[i + 2 :]
+    code, _, err = run(capsys, "train", *flags, "--epochs", "1",
+                       "--train", str(data / "base-train.spot"), "--out", "ckpt.spot")
+    assert code == EXIT_OK, err
+    cfg = pipeline.load_state("ckpt.spot").config
+    assert cfg.n_classes == 10
+    code, out, err = run(capsys, "bench", "--checkpoint", "ckpt.spot", "--items", "102",
+                         "--reps", "1", "--k-list", "4")
+    assert code == EXIT_OK, err
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["n_items"] == 102
+    assert (payload["rows"][0]["flops"]
+            == pipeline.flop_count_inference(replace(cfg, n_classes=3), 4))
+
+
 def test_bench_workload_too_small(capsys, workdir):
     _, _ = train_tiny(capsys, workdir)
     code, _, _ = run(capsys, "bench", "--checkpoint", "ckpt.spot",

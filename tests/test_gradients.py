@@ -15,7 +15,14 @@ from spotlighter.numerics import (
     transformer_block_bwd,
     transformer_block_fwd,
 )
-from spotlighter.objectives import _contrastive_bwd, _contrastive_fwd, loss_item, losses_fwd_bwd
+from spotlighter.objectives import (
+    _contrastive_bwd,
+    _contrastive_fwd,
+    _pool_bwd,
+    _pool_fwd,
+    loss_item,
+    losses_fwd_bwd,
+)
 from spotlighter.pipeline import _fast_objective, _front_end, gradcheck_total_loss
 from spotlighter.representative import FusionParams, reps_fwd
 from spotlighter.rng import Stream
@@ -68,15 +75,17 @@ def test_contrastive_gradients_on_two_class_toy():
     class_rows = s.normals(2, 2, 6)
     label, tau = 0, 0.05
 
-    loss, cache = _contrastive_fwd(v_tokens, class_rows, label, tau)
-    dv_tokens, d_rows = _contrastive_bwd(cache)
+    v, v_cache = _pool_fwd(v_tokens)
+    loss, cache = _contrastive_fwd(v, class_rows, label, tau)
+    dv, d_rows = _contrastive_bwd(cache)
+    dv_tokens = _pool_bwd(v_cache, dv)
     x0 = np.concatenate([v_tokens.ravel(), class_rows.ravel()])
     analytic = np.concatenate([dv_tokens.ravel(), d_rows.ravel()])
 
     def objective(rows):
         v = rows[:, :18].reshape(-1, 3, 6)
         class_rows = rows[:, 18:].reshape(-1, 2, 2, 6)
-        val, _ = _contrastive_fwd(v, class_rows, label, tau)
+        val, _ = _contrastive_fwd(_pool_fwd(v)[0], class_rows, label, tau)
         return val
 
     assert finite_difference_errors(objective, x0, analytic, 1e-5).max() < 1e-4

@@ -239,32 +239,6 @@ def test_block_input_gradients_alone(rng):
         assert np.array_equal(dQ[t], dQ_t) and np.array_equal(dKV[t], dKV_t)
 
 
-@pytest.mark.parametrize("q", [2, 5])
-def test_prefix_queries_equal_the_copied_rows_bitwise(rng, q):
-    # an int q queries with the first q rows of KV (q = 5 is self-attention):
-    # the output, input gradients and weight gradients of passing those rows
-    # as a copy, bit for bit, with the query rows normalised once, as views
-    p = _random_params(8, 2, seed=36)
-    X, dY = rng.normal(size=(2, 5, 8)), rng.normal(size=(2, q, 8))
-    out, cache = transformer_block_fwd(q, X, p)
-    out_2, cache_2 = transformer_block_fwd(X[..., :q, :].copy(), X, p)
-    Qn, KVn, ln_q, ln_kv = cache[1:5]
-    assert np.shares_memory(Qn, KVn) and not np.shares_memory(cache_2[1], cache_2[2])
-    assert all(np.shares_memory(a, b) for a, b in zip(ln_q, ln_kv))
-    assert np.array_equal(out, out_2)
-    dQ, dKV, grads = transformer_block_bwd(cache, dY)
-    dQ_2, dKV_2, grads_2 = transformer_block_bwd(cache_2, dY)
-    assert np.array_equal(dQ, dQ_2) and np.array_equal(dKV, dKV_2)
-    for name in TENSOR_ORDER:
-        assert np.array_equal(grads[name], grads_2[name]), name
-
-
-@pytest.mark.parametrize("q", [0, -1, 6])
-def test_prefix_query_count_outside_the_rows_is_rejected(q):
-    with pytest.raises(DimMismatch):
-        transformer_block_fwd(q, np.ones((5, 8)), _random_params(8, 2, seed=1))
-
-
 def test_stacked_block_serves_outer_item_axes(rng):
     # weights stacked on one axis broadcast against the inputs' last leading
     # axis, so an item axis may sit outside the tier axis

@@ -449,6 +449,15 @@ def test_bench_requires_minimum_workload(tiny_state):
         bench_throughput(tiny_state, n_items=50, k_list=[2])
 
 
+def test_bench_checks_the_k_list_before_generating(tiny_state, monkeypatch):
+    def generate(*args):
+        raise AssertionError("workload generated for an invalid k list")
+
+    monkeypatch.setattr(pipeline, "generate_base_novel", generate)
+    with pytest.raises(ConfigError, match="k=99"):
+        bench_throughput(tiny_state, n_items=120, k_list=[2, 99])
+
+
 def test_bench_report_contract(tiny_state):
     rep = bench_throughput(tiny_state, n_items=120, k_list=[2, 4], reps=2, warmup=1)
     assert {r.k for r in rep.rows} == {2, 4}
@@ -465,7 +474,8 @@ def test_bench_report_contract(tiny_state):
 def test_bench_tiny_k_accuracy_not_better(tiny_state):
     cfg = tiny_state.config
     rep = bench_throughput(tiny_state, n_items=120, k_list=[1, cfg.k_act], reps=1)
-    assert rep.row_at(1).accuracy <= rep.row_at(cfg.k_act).accuracy + 1e-9
+    acc = {row.k: row.accuracy for row in rep.rows}
+    assert acc[1] <= acc[cfg.k_act] + 1e-9
 
 
 def test_flop_count_strictly_increasing(tiny_state):

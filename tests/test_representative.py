@@ -270,7 +270,7 @@ def test_fusion_params_hold_one_irm_block_per_tier():
 def test_block_param_count_matches():
     for d, e in [(4, 1), (8, 2), (64, 2)]:
         p = TransformerBlockParams.zeros(d, 2, e)
-        assert p.n_params() == block_param_count(d, e)
+        assert sum(a.size for _, a in p.tensors()) == block_param_count(d, e)
 
 
 def test_params_share_one_flat_buffer(rng):
