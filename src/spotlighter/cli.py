@@ -33,6 +33,7 @@ from .pipeline import (
     harmonic_mean,
     load_state,
     save_state,
+    split_accuracies,
     split_accuracy,
     train,
 )
@@ -101,10 +102,7 @@ def cmd_train(args) -> int:
     train_set = read_features(args.train)
     state = train(cfg, train_set)
     save_state(state, args.out)
-    if state.history:  # train has scored this state for the last epoch
-        final_acc = state.history[-1]["train_acc"]
-    else:
-        final_acc, _ = split_accuracy(state, train_set, use_trained_bank=True)
+    final_acc, _ = split_accuracy(state, train_set, use_trained_bank=True)
     report = {
         "seed": cfg.seed,
         "epochs": cfg.epochs,
@@ -164,32 +162,36 @@ def _tier_rows(base_cfg: RunConfig, cell: dict, base_train, base_test, novel_tes
     Training never reads the tier mode: the parameters and the bank come out
     the same under all three, so one training serves the cell's three rows.
     It runs under "both", whose selection bound is the weakest; a tier mode
-    that needs more kept tokens still fails, in `predict_batch`, with the
+    that needs more kept tokens still fails, in `split_accuracies`, with the
     same ConfigError a training under that mode would raise.
 
-    `items_per_sec` is the base split's item count over the seconds of the
-    pass that scores `base_acc`, class-set build included.
+    Each split is scored once for all three modes, so the three rows share
+    the base pass: `items_per_sec` is the base split's item count over the
+    seconds of that pass, class-set build included.
     """
     try:
         state = train(base_cfg.with_overrides(**cell, tier_mode="both"), base_train)
+        t0 = time.perf_counter()
+        base = split_accuracies(state, base_test, True, TIER_MODES)
+        seconds = time.perf_counter() - t0
+        novel = split_accuracies(state, novel_test, False, TIER_MODES)
     except Exception as exc:  # the cell's three rows share the failure
         return [_failed(exc)] * len(TIER_MODES)
     out = []
     for tier_mode in TIER_MODES:
-        try:
-            t0 = time.perf_counter()
-            base_acc, _ = split_accuracy(state, base_test, True, tier_mode)
-            seconds = time.perf_counter() - t0
-            novel_acc, _ = split_accuracy(state, novel_test, False, tier_mode)
-            out.append(dict(
-                base_acc=f"{base_acc:.2f}",
-                novel_acc=f"{novel_acc:.2f}",
-                harmonic_mean=f"{harmonic_mean(base_acc, novel_acc):.2f}",
-                items_per_sec=f"{base_test.n_items / seconds:.1f}",
-                status="ok",
-            ))
-        except Exception as exc:  # record the failure, keep sweeping
-            out.append(_failed(exc))
+        results = base[tier_mode], novel[tier_mode]
+        failure = next((r for r in results if isinstance(r, Exception)), None)
+        if failure is not None:  # this mode's selection check; keep sweeping
+            out.append(_failed(failure))
+            continue
+        (base_acc, _), (novel_acc, _) = results
+        out.append(dict(
+            base_acc=f"{base_acc:.2f}",
+            novel_acc=f"{novel_acc:.2f}",
+            harmonic_mean=f"{harmonic_mean(base_acc, novel_acc):.2f}",
+            items_per_sec=f"{base_test.n_items / seconds:.1f}",
+            status="ok",
+        ))
     return out
 
 

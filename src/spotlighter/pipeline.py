@@ -15,14 +15,16 @@ block of probe rows is one call of the cache-free `reps_fwd` and of
 `losses_value` over a leading probe axis, and `losses_value` shares its
 forward with `losses_fwd_bwd`, so the check has no copy of the objective.
 
-Inference has one path, `predict_batch`, which walks the items in chunks of
-`_CHUNK`; one item is a batch of one, `X[None]`. A chunk runs the training
-stage functions over its item axis: `match_class` identifies the category
-against a zero-jitter matching bank built from the split's text embeddings
-under the configured init mode; the trained bank (base split) or the same
-on-the-fly bank (novel split) then supplies prototypes for scoring,
-stratification and the cache-free `reps_fwd`, and a pooled cosine head
-classifies.
+Inference has one path, `predict_modes`, which walks the items in chunks of
+`_CHUNK`; `predict_batch` is its one-mode case, and one item is a batch of
+one, `X[None]`. A chunk runs the training stage functions over its item
+axis: `match_class` identifies the category against a zero-jitter matching
+bank built from the split's text embeddings under the configured init mode;
+the trained bank (base split) or the same on-the-fly bank (novel split) then
+supplies prototypes for scoring, stratification and the cache-free
+`reps_fwd` of the tiers the requested tier modes read, and a pooled cosine
+head classifies once per mode. `split_accuracies` scores a labeled split for
+several tier modes from one such pass; `split_accuracy` is its one-mode case.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .errors import (
     HeaderMismatch,
     InvalidSpec,
     NonFiniteLoss,
+    UsageError,
     WorkloadTooSmall,
 )
 from .features import FeatureSet, generate_base_novel
@@ -175,16 +178,21 @@ def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
 
     tier1, tier2 = stratify(selected, combined, X, bank.prototypes[label],
                             cfg.recalc_on)
-    return bank, _tier_list(X, tier1, tier2, "both", text, cfg.tau), local
+    return bank, _tier_list(X, tier1, tier2, ("both",), text, cfg.tau), local
 
 
-def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_mode: str,
+def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_modes,
                text: np.ndarray, tau: float):
-    """`reps_fwd` tiers: every nonempty tier under "both", else the one tier
-    "lev1"/"lev2" names, with its TRM input computed once here."""
+    """`reps_fwd` tiers: every nonempty tier that one of `tier_modes` reads,
+    with its TRM input computed once here."""
     return tier_inputs([(t, np.take_along_axis(X, idx[..., None], axis=-2))
                         for t, idx in enumerate((tier1, tier2))
-                        if tier_mode in ("both", f"lev{t + 1}")], text, tau)
+                        if any(_reads(mode, t) for mode in tier_modes)], text, tau)
+
+
+def _reads(tier_mode: str, tier: int) -> bool:
+    """Whether the tier mode classifies from tier `tier` (0 or 1)."""
+    return tier_mode in ("both", f"lev{tier + 1}")
 
 
 def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
@@ -200,14 +208,21 @@ def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
 
 
 def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
-    """Few-shot training on one labeled split; deterministic under the seed."""
+    """Few-shot training on one labeled split; deterministic under the seed.
+
+    Each epoch's history record holds the mean of every loss part, the epoch
+    and `bank_drift`, the Frobenius norm of the epoch's change in the bank's
+    prototypes; training scores no split.
+    """
     config.validate()
     if train_set.n_items == 0:
         raise EmptySplit("training split is empty")
     if train_set.labels is None:
         raise InvalidSpec("training split must be labeled")
-    if train_set.d != config.d:
-        raise DimMismatch(f"config width {config.d} but features have {train_set.d}")
+    for key in ("d", "n_tok", "n_classes"):
+        if getattr(train_set, key) != getattr(config, key):
+            raise DimMismatch(f"config {key} {getattr(config, key)} but features have "
+                              f"{getattr(train_set, key)}")
     check_selection(train_set.n_tok, config.k_act, config.selection_variant,
                     config.tier_mode)
 
@@ -225,12 +240,13 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
 
     tokens = np.asarray(train_set.tokens, dtype=np.float64)
     labels = np.asarray(train_set.labels, dtype=np.int64)
-    state = TrainedState(params=params, theta=theta, bank=bank, config=config)
+    history = []
 
     keys = [f.name for f in fields(LossBreakdown)]
     for epoch in range(config.epochs):
         order = shuffle_root.child(epoch).permutation(train_set.n_items)
         sums = dict.fromkeys(keys, 0.0)
+        start = bank.prototypes  # updates return a fresh bank
         for idx in order:
             bank, breakdown = _train_step(tokens[idx], int(labels[idx]), bank,
                                           text, params, theta, config, weights)
@@ -238,13 +254,11 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
                 raise NonFiniteLoss(f"epoch {epoch}, item {int(idx)}: {breakdown}")
             for key in keys:
                 sums[key] += getattr(breakdown, key)
-        state.bank = bank
         record = {key: sums[key] / train_set.n_items for key in keys}
         record["epoch"] = epoch
-        record["train_acc"] = split_accuracy(state, train_set, use_trained_bank=True)[0]
-        state.history.append(record)
-    state.bank = bank
-    return state
+        record["bank_drift"] = float(np.linalg.norm(bank.prototypes - start))
+        history.append(record)
+    return TrainedState(params=params, theta=theta, bank=bank, config=config, history=history)
 
 
 # --------------------------------------------------------------------------
@@ -256,29 +270,59 @@ def predict_batch(tokens: np.ndarray, state: TrainedState,
                   tier_mode: str | None = None):
     """Label-free pruned classification of (N, n_tok, d) items: (preds, probs).
 
+    The one-mode case of `predict_modes`.
+    """
+    tier_mode = state.config.tier_mode if tier_mode is None else tier_mode
+    return _raised(predict_modes(tokens, state, class_set, (tier_mode,), k)[tier_mode])
+
+
+def predict_modes(tokens: np.ndarray, state: TrainedState, class_set: EvalClassSet,
+                  tier_modes, k: int | None = None) -> dict:
+    """{tier mode: (preds, probs)} for (N, n_tok, d) items, one pass for all
+    the modes; a mode that `check_selection` rejects maps to its error.
+
+    The modes differ only in which tiers the pooled cosine head averages, and
+    with an item axis `reps_fwd` fuses each tier on its own, so one front end
+    and one fusion of the tiers the modes read serve every mode bit for bit.
     Items are classified independently, _CHUNK at a time (each chunk widened
     to float64 on its own), which bounds the memory the block forwards hold.
     """
     cfg = state.config
     k = cfg.k_act if k is None else k
-    tier_mode = cfg.tier_mode if tier_mode is None else tier_mode
     X = np.asarray(tokens)
     if X.ndim != 3 or X.shape[2] != cfg.d:
         raise DimMismatch(f"tokens must be (N, n_tok, {cfg.d}), got shape {X.shape}")
-    if tier_mode not in TIER_MODES:
-        raise ConfigError(f"tier_mode {tier_mode!r} not in {TIER_MODES}")
-    check_selection(X.shape[1], k, cfg.selection_variant, tier_mode)
-    if len(X) == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros((0, len(class_set.text)))
-    parts = [_predict_chunk(X[i : i + _CHUNK].astype(np.float64), state, class_set, k,
-                            tier_mode) for i in range(0, len(X), _CHUNK)]
-    return (np.concatenate([preds for preds, _ in parts]),
-            np.concatenate([probs for _, probs in parts]))
+    out = {}
+    for mode in tier_modes:
+        if mode not in TIER_MODES:
+            raise ConfigError(f"tier_mode {mode!r} not in {TIER_MODES}")
+        try:
+            check_selection(X.shape[1], k, cfg.selection_variant, mode)
+        except UsageError as exc:
+            out[mode] = exc
+    modes = [mode for mode in tier_modes if mode not in out]
+    if len(X) == 0 or not modes:
+        empty = np.zeros(0, dtype=np.intp), np.zeros((0, len(class_set.text)))
+        return {**out, **dict.fromkeys(modes, empty)}
+    parts = [_predict_chunk(X[i : i + _CHUNK].astype(np.float64), state, class_set, k, modes)
+             for i in range(0, len(X), _CHUNK)]
+    for mode in modes:
+        out[mode] = (np.concatenate([part[mode][0] for part in parts]),
+                     np.concatenate([part[mode][1] for part in parts]))
+    return out
+
+
+def _raised(result):
+    """A `predict_modes`/`split_accuracies` entry, raising it if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
-                   k: int, tier_mode: str):
-    """The training front end's stages, unlabeled, over an item axis."""
+                   k: int, tier_modes) -> dict:
+    """The training front end's stages, unlabeled, over an item axis, then the
+    pooled cosine head once per tier mode."""
     cfg = state.config
     c_hat = match_class(X.mean(axis=1), class_set.matching_bank)
     protos = class_set.fusion_bank.prototypes[c_hat]
@@ -287,12 +331,16 @@ def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
     selected = np.stack([select_activated(row, k, cfg.selection_variant)
                          for row in combined])
     tier1, tier2 = stratify(selected, combined, X, protos, cfg.recalc_on)
-    V, R, _ = reps_fwd(_tier_list(X, tier1, tier2, tier_mode, class_set.text, cfg.tau),
-                       protos, state.params, state.theta, keep_cache=False)
-    v = normalize_rows(np.concatenate(V, axis=1).mean(axis=1))
-    Tp = normalize_rows(np.mean(np.stack(R, axis=2), axis=2))
-    probs = softmax_rows(np.einsum("ncd,nd->nc", Tp, v), cfg.tau)
-    return np.argmax(probs, axis=1), probs
+    tiers = _tier_list(X, tier1, tier2, tier_modes, class_set.text, cfg.tau)
+    V, R, _ = reps_fwd(tiers, protos, state.params, state.theta, keep_cache=False)
+    out = {}
+    for mode in tier_modes:
+        read = [i for i, (t, _, _) in enumerate(tiers) if _reads(mode, t)]
+        v = normalize_rows(np.concatenate([V[i] for i in read], axis=1).mean(axis=1))
+        Tp = normalize_rows(np.mean(np.stack([R[i] for i in read], axis=2), axis=2))
+        probs = softmax_rows(np.einsum("ncd,nd->nc", Tp, v), cfg.tau)
+        out[mode] = np.argmax(probs, axis=1), probs
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -301,19 +349,34 @@ def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
 
 def split_accuracy(state: TrainedState, split: FeatureSet,
                    use_trained_bank: bool, tier_mode: str | None = None):
-    """(accuracy %, per-class accuracy list) for one labeled split."""
+    """(accuracy %, per-class accuracy list) for one labeled split: the
+    one-mode case of `split_accuracies`."""
+    tier_mode = state.config.tier_mode if tier_mode is None else tier_mode
+    return _raised(split_accuracies(state, split, use_trained_bank, (tier_mode,))[tier_mode])
+
+
+def split_accuracies(state: TrainedState, split: FeatureSet, use_trained_bank: bool,
+                     tier_modes) -> dict:
+    """{tier mode: (accuracy %, per-class accuracy list)} for one labeled
+    split, from one class-set build and one `predict_modes` pass; a mode that
+    `check_selection` rejects maps to its error."""
     if split.n_items == 0:
         raise EmptySplit(f"{split.split} split is empty")
     if split.labels is None:
         raise InvalidSpec(f"{split.split} split must be labeled")
     ctx = make_eval_class_set(state, split.text_embeddings, use_trained_bank)
-    preds, _ = predict_batch(split.tokens, state, ctx, tier_mode=tier_mode)
     labels = np.asarray(split.labels, dtype=np.int64)
-    per_class = []
-    for c in range(split.n_classes):
-        mask = labels == c
-        per_class.append(float(100.0 * np.mean(preds[mask] == c)) if mask.any() else 0.0)
-    return float(100.0 * np.mean(preds == labels)), per_class
+    out = predict_modes(split.tokens, state, ctx, tier_modes)
+    for mode, result in out.items():
+        if isinstance(result, Exception):
+            continue
+        preds = result[0]
+        per_class = []
+        for c in range(split.n_classes):
+            mask = labels == c
+            per_class.append(float(100.0 * np.mean(preds[mask] == c)) if mask.any() else 0.0)
+        out[mode] = float(100.0 * np.mean(preds == labels)), per_class
+    return out
 
 
 def evaluate(state: TrainedState, base_set: FeatureSet, novel_set: FeatureSet,

@@ -111,10 +111,10 @@ def test_train_loss_decreases(capsys, workdir):
 
 
 @pytest.mark.parametrize("epochs", [0, 2])
-def test_train_scores_the_training_split_once_per_epoch(capsys, workdir, monkeypatch, epochs):
+def test_train_scores_the_training_split_once(capsys, workdir, monkeypatch, epochs):
     # the training split is one chunk, so a chunk call is one prediction
-    # pass; the last epoch's train_acc is the final one, and with no epoch
-    # the final score is the only pass
+    # pass: training itself scores nothing, and `spotlighter train` scores
+    # the trained state once for final_train_acc
     data = gen_tiny(capsys, workdir)
     chunks = []
     predict_chunk = pipeline._predict_chunk
@@ -125,15 +125,31 @@ def test_train_scores_the_training_split_once_per_epoch(capsys, workdir, monkeyp
         return predict_chunk(X, *args)
 
     monkeypatch.setattr(pipeline, "_predict_chunk", counting_chunk)
-    code, out, _ = run(capsys, "train", *TINY_FLAGS, "--epochs", str(epochs),
-                       "--train", str(data / "base-train.spot"), "--out", "ckpt.spot")
-    assert code == EXIT_OK
-    assert len(chunks) == max(epochs, 1)
-    report = json.loads(out.strip().splitlines()[-1])
     train_set = read_features(data / "base-train.spot")
+    argv = ["train", *TINY_FLAGS, "--epochs", str(epochs),
+            "--train", str(data / "base-train.spot"), "--out", "ckpt.spot"]
+    pipeline.train(cli._build_config(cli._build_parser().parse_args(argv)), train_set)
+    assert chunks == []
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(chunks) == 1
+    report = json.loads(out.strip().splitlines()[-1])
     acc, _ = pipeline.split_accuracy(pipeline.load_state("ckpt.spot"), train_set,
                                      use_trained_bank=True)
     assert report["final_train_acc"] == round(acc, 2)
+
+
+def test_train_rejects_features_the_config_does_not_describe(capsys, workdir):
+    # 8-token features against the default n_tok: a checkpoint would record
+    # a token count its training never saw
+    data = gen_tiny(capsys, workdir)
+    for flags in (["--d", "16", "--n-classes", "3", "--k-act", "4"],
+                  ["--d", "16", "--n-tok", "8", "--k-act", "4"]):
+        code, _, err = run(capsys, "train", *flags, "--train", str(data / "base-train.spot"),
+                           "--out", "ckpt.spot")
+        assert code == EXIT_DATA
+        assert err.startswith("error: config ") and len(err.strip().splitlines()) == 1
+        assert not os.path.exists("ckpt.spot")
 
 
 def test_train_missing_file_is_data_error(capsys, workdir):
@@ -327,14 +343,16 @@ def test_bench_runs_on_a_remove_top_k_checkpoint(capsys, workdir):
 
 
 def test_bench_uses_the_class_count_the_bank_was_trained_on(capsys, workdir):
-    # trained on 3-class features under the default --n-classes (10): the
-    # bench workload and its flop count follow the bank, not the config
+    # a 3-class bank under a config that names 10 classes (`train` rejects
+    # such features, but a checkpoint's config does not fix the bank's class
+    # count): the bench workload and its flop count follow the bank
     data = gen_tiny(capsys, workdir)
-    i = TINY_FLAGS.index("--n-classes")
-    flags = TINY_FLAGS[:i] + TINY_FLAGS[i + 2 :]
-    code, _, err = run(capsys, "train", *flags, "--epochs", "1",
+    code, _, err = run(capsys, "train", *TINY_FLAGS, "--epochs", "1",
                        "--train", str(data / "base-train.spot"), "--out", "ckpt.spot")
     assert code == EXIT_OK, err
+    state = pipeline.load_state("ckpt.spot")
+    pipeline.save_state(replace(state, config=state.config.with_overrides(n_classes=10)),
+                        "ckpt.spot")
     cfg = pipeline.load_state("ckpt.spot").config
     assert cfg.n_classes == 10
     code, out, err = run(capsys, "bench", "--checkpoint", "ckpt.spot", "--items", "102",
@@ -425,9 +443,10 @@ def test_ablate_trains_once_per_cell_and_matches_per_cell_training(capsys, workd
 
 def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
     # every split here is one chunk, so a chunk call is one prediction pass:
-    # per training, one train_acc pass per epoch, then per tier mode one base
-    # and one novel pass (the base pass is the one timed for items_per_sec)
-    epochs = 1
+    # per training, one base and one novel pass serve the three tier modes
+    # (the base pass is the one timed for items_per_sec); training scores
+    # nothing, at any epoch count
+    epochs = 2
     chunks = []
     predict_chunk = pipeline._predict_chunk
 
@@ -440,7 +459,7 @@ def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
     code, _, _ = run(capsys, "ablate", *TINY_FLAGS, "--epochs", str(epochs),
                      "--out", "sweep.csv")
     assert code == EXIT_OK
-    assert len(chunks) == 24 * (epochs + 2 * 3)
+    assert len(chunks) == 24 * 2
 
 
 # --- usage ---------------------------------------------------------------------

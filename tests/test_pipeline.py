@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from spotlighter.activation import (
     semantic_scores,
     stratify,
 )
-from spotlighter.config import RunConfig
+from spotlighter.config import TIER_MODES, RunConfig
 from spotlighter.errors import (
     BadMagic,
     ConfigError,
@@ -39,7 +40,9 @@ from spotlighter.pipeline import (
     load_state,
     make_eval_class_set,
     predict_batch,
+    predict_modes,
     save_state,
+    split_accuracies,
     split_accuracy,
     train,
 )
@@ -106,8 +109,20 @@ def test_history_records_every_epoch(tiny_state, tiny_config):
     for i, rec in enumerate(tiny_state.history):
         assert rec["epoch"] == i
         for key in ("cls", "cls_low", "cls_high", "reg_text", "kl_visual",
-                    "local", "total", "train_acc"):
+                    "local", "total", "bank_drift"):
             assert np.isfinite(rec[key])
+        assert "train_acc" not in rec  # training scores no split
+
+
+def test_bank_drift_is_each_epochs_change_of_the_bank(tiny_state, tiny_config, tiny_episode):
+    # epoch e shuffles by its own stream, so a shorter training stops at the
+    # bank the longer one had after epoch e
+    base_train, _, _ = tiny_episode
+    banks = [train(tiny_config.with_overrides(epochs=e), base_train).bank.prototypes
+             for e in range(tiny_config.epochs)] + [tiny_state.bank.prototypes]
+    for e, rec in enumerate(tiny_state.history):
+        assert rec["bank_drift"] == float(np.linalg.norm(banks[e + 1] - banks[e]))
+        assert rec["bank_drift"] > 0.0
 
 
 def test_determinism_identical_states(tiny_config, tiny_episode, tmp_path):
@@ -307,6 +322,51 @@ def test_tier_mode_lev1_lev2_run(tiny_state, tiny_episode):
         m = evaluate(tiny_state, base_test, novel_test, tier_mode=mode)
         assert 0 <= m.base_acc <= 100
         assert 0 <= m.novel_acc <= 100
+
+
+@pytest.mark.parametrize("k, digest", [
+    (4, "7905417602d3928a2de567c38052d1c43cf74ceb3898ce66319dfb7928b6176e"),
+    (1, "ae4c29b7297ba534c29e17fa33c2b05a8f72f19ae00c14f6f6068b6b988e9724"),
+], ids=["all_modes", "lev2_rejected"])
+def test_shared_pass_equals_one_pass_per_mode_bitwise(tiny_state, tiny_episode, k, digest):
+    # one front end and one fusion serve the three tier modes: each mode's
+    # preds and probs equal a pass of its own byte for byte, and their SHA-256
+    # was recorded when every mode ran its own front end; at k=1 lev2 keeps
+    # too few tokens, and only that mode is rejected
+    _, base_test, novel_test = tiny_episode
+    h = hashlib.sha256()
+    for split, trained in ((base_test, True), (novel_test, False)):
+        ctx = make_eval_class_set(tiny_state, split.text_embeddings, trained)
+        shared = predict_modes(split.tokens, tiny_state, ctx, TIER_MODES, k=k)
+        assert sorted(shared) == sorted(TIER_MODES)
+        for mode in TIER_MODES:
+            if k == 1 and mode == "lev2":
+                assert isinstance(shared[mode], ConfigError)
+                with pytest.raises(ConfigError, match=re.escape(str(shared[mode]))):
+                    predict_batch(split.tokens, tiny_state, ctx, k=k, tier_mode=mode)
+                continue
+            want = predict_batch(split.tokens, tiny_state, ctx, k=k, tier_mode=mode)
+            for got, ref in zip(shared[mode], want):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+            h.update(want[0].astype("<i8").tobytes())
+            h.update(want[1].astype("<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("k_act", [4, 1])
+def test_split_accuracies_equal_one_split_accuracy_per_mode(tiny_state, tiny_episode, k_act):
+    _, base_test, novel_test = tiny_episode
+    state = replace(tiny_state, config=tiny_state.config.with_overrides(k_act=k_act))
+    for split, trained in ((base_test, True), (novel_test, False)):
+        shared = split_accuracies(state, split, trained, TIER_MODES)
+        for mode in TIER_MODES:
+            if k_act == 1 and mode == "lev2":
+                assert isinstance(shared[mode], ConfigError)
+                with pytest.raises(ConfigError):
+                    split_accuracy(state, split, trained, mode)
+            else:
+                assert shared[mode] == split_accuracy(state, split, trained, mode)
 
 
 def test_config_variants_train_and_evaluate(tiny_config, tiny_episode):
