@@ -4,7 +4,8 @@ stratification of the selected tokens.
 Selection variants mirror the degradation studies: keep the k best scores
 (`top-k`, the production path), keep the k worst (`bottom-k`), or drop the k
 best and keep the rest (`remove-top-k`). All orderings break ties toward the
-lower token index.
+lower token index. The tier rule lives here too: the tier modes, the tiers
+each reads (`reads`), the tier sizes and the kept-token check.
 
 Scoring and stratification also take stacked (N, n, d) items with per-item
 text rows and prototypes; selection takes one item's score vector.
@@ -21,6 +22,10 @@ VARIANT_TOP = "top-k"
 VARIANT_BOTTOM = "bottom-k"
 VARIANT_REMOVE_TOP = "remove-top-k"
 VARIANTS = (VARIANT_TOP, VARIANT_BOTTOM, VARIANT_REMOVE_TOP)
+
+# tier mode -> the tiers it classifies from (0 high, 1 low)
+_TIERS_READ = {"both": (0, 1), "lev1": (0,), "lev2": (1,)}
+TIER_MODES = tuple(_TIERS_READ)
 
 
 def sample_scores(visual_tokens: np.ndarray, text_embedding: np.ndarray) -> np.ndarray:
@@ -72,13 +77,26 @@ def kept_count(n_tok: int, k: int, variant: str) -> int:
     return n_tok - k if variant == VARIANT_REMOVE_TOP else k
 
 
+def tier_sizes(m: int) -> tuple:
+    """(high, low) tier sizes of m kept tokens: ceil(m/2) and floor(m/2)."""
+    n1 = (m + 1) // 2
+    return n1, m - n1
+
+
+def reads(tier_mode: str, tier: int) -> bool:
+    """Whether the tier mode classifies from tier `tier` (0 high, 1 low)."""
+    return tier in _TIERS_READ[tier_mode]
+
+
 def check_selection(n_tok: int, k: int, variant: str, tier_mode: str) -> None:
-    """Reject a k outside [1, n_tok], or one whose variant keeps no token, or
-    fewer than two under "lev2" (tier 2 holds floor(m/2) of m kept tokens)."""
+    """Reject an unknown tier mode, a k outside [1, n_tok], or a selection
+    whose kept tokens leave the tiers the mode reads empty."""
+    if tier_mode not in TIER_MODES:
+        raise ConfigError(f"tier_mode {tier_mode!r} not in {TIER_MODES}")
     if not 1 <= k <= n_tok:
         raise KOutOfRange(f"k={k} outside [1, {n_tok}]")
     kept = kept_count(n_tok, k, variant)
-    if kept < (2 if tier_mode == "lev2" else 1):
+    if not any(reads(tier_mode, t) and m for t, m in enumerate(tier_sizes(kept))):
         raise ConfigError(f"{variant} with k={k} of {n_tok} tokens keeps {kept}, "
                           f"too few for tier mode {tier_mode}")
 
@@ -89,9 +107,9 @@ def stratify(selected: np.ndarray, combined: np.ndarray, tokens: np.ndarray,
 
     Ranking uses the combined scores, or — when recalc_on — semantic scores
     recomputed against the supplied (current) class prototypes. Tier 1 takes
-    the top ceil(m/2) of the m selected tokens, tier 2 the remainder; both
+    the best-ranked of the m selected tokens, tier 2 the remainder; both
     are index lists into the original token array (one row per item when the
-    inputs are stacked).
+    inputs are stacked); `tier_sizes` gives their lengths.
     """
     selected = np.asarray(selected, dtype=np.int64)
     if selected.shape[-1] == 0:
@@ -102,5 +120,5 @@ def stratify(selected: np.ndarray, combined: np.ndarray, tokens: np.ndarray,
     else:
         ranking = np.take_along_axis(np.asarray(combined, dtype=np.float64), selected, axis=-1)
     ranked = np.take_along_axis(selected, np.lexsort((selected, -ranking), axis=-1), axis=-1)
-    n1 = (selected.shape[-1] + 1) // 2
+    n1, _ = tier_sizes(selected.shape[-1])
     return ranked[..., :n1], ranked[..., n1:]

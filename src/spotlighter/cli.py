@@ -2,10 +2,11 @@
 
 Commands: gen, train, eval, ablate, gradcheck, bench. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numeric failure (the error's family
-carries its code; an OS error reading or writing a file is a data error).
-SPOTLIGHTER_SEED provides the default seed; an explicit config file value or
---seed flag overrides it. Config files are flat key=value text; flags
-override the file.
+carries its code; an OS error reading or writing a file is a data error;
+ablate records a package error as a cell's error rows, and any other
+exception ends it). SPOTLIGHTER_SEED provides the default seed; an explicit
+config file value or --seed flag overrides it. Config files are flat
+key=value text; flags override the file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .activation import VARIANTS
+from .activation import VARIANTS, check_selection
 from .config import TIER_MODES, RunConfig, parse_config_file, parse_value
 from .errors import ConfigError, SpotlighterError
 from .features import generate_base_novel, read_features, write_features
@@ -151,7 +152,7 @@ _ABLATION_COLUMNS = (
 )
 
 
-def _failed(exc: Exception) -> dict:
+def _failed(exc: SpotlighterError) -> dict:
     return dict(base_acc="", novel_acc="", harmonic_mean="", items_per_sec="",
                 status=f"error:{type(exc).__name__}")
 
@@ -159,40 +160,38 @@ def _failed(exc: Exception) -> dict:
 def _tier_rows(base_cfg: RunConfig, cell: dict, base_train, base_test, novel_test) -> list:
     """The result columns of one training cell under each tier mode.
 
-    Training never reads the tier mode: the parameters and the bank come out
-    the same under all three, so one training serves the cell's three rows.
-    It runs under "both", whose selection bound is the weakest; a tier mode
-    that needs more kept tokens still fails, in `split_accuracies`, with the
-    same ConfigError a training under that mode would raise.
-
-    Each split is scored once for all three modes, so the three rows share
-    the base pass: `items_per_sec` is the base split's item count over the
-    seconds of that pass, class-set build included.
+    A tier mode that `check_selection` rejects gets its error row. Training
+    never reads the tier mode, so one training, under "both" (the weakest
+    selection bound), and one scoring pass per split serve the other modes:
+    their rows share `items_per_sec`, the base split's item count over the
+    seconds of its pass, class-set build included.
     """
-    try:
-        state = train(base_cfg.with_overrides(**cell, tier_mode="both"), base_train)
-        t0 = time.perf_counter()
-        base = split_accuracies(state, base_test, True, TIER_MODES)
-        seconds = time.perf_counter() - t0
-        novel = split_accuracies(state, novel_test, False, TIER_MODES)
-    except Exception as exc:  # the cell's three rows share the failure
-        return [_failed(exc)] * len(TIER_MODES)
-    out = []
+    cfg = base_cfg.with_overrides(**cell, tier_mode="both")
+    rows = {}
     for tier_mode in TIER_MODES:
-        results = base[tier_mode], novel[tier_mode]
-        failure = next((r for r in results if isinstance(r, Exception)), None)
-        if failure is not None:  # this mode's selection check; keep sweeping
-            out.append(_failed(failure))
-            continue
-        (base_acc, _), (novel_acc, _) = results
-        out.append(dict(
+        try:
+            check_selection(cfg.n_tok, cfg.k_act, cfg.selection_variant, tier_mode)
+        except SpotlighterError as exc:
+            rows[tier_mode] = _failed(exc)
+    modes = [tier_mode for tier_mode in TIER_MODES if tier_mode not in rows]
+    try:
+        state = train(cfg, base_train)
+        t0 = time.perf_counter()
+        base = split_accuracies(state, base_test, True, modes)
+        seconds = time.perf_counter() - t0
+        novel = split_accuracies(state, novel_test, False, modes)
+    except SpotlighterError as exc:  # the cell's three rows share the failure
+        return [_failed(exc)] * len(TIER_MODES)
+    for tier_mode in modes:
+        (base_acc, _), (novel_acc, _) = base[tier_mode], novel[tier_mode]
+        rows[tier_mode] = dict(
             base_acc=f"{base_acc:.2f}",
             novel_acc=f"{novel_acc:.2f}",
             harmonic_mean=f"{harmonic_mean(base_acc, novel_acc):.2f}",
             items_per_sec=f"{base_test.n_items / seconds:.1f}",
             status="ok",
-        ))
-    return out
+        )
+    return [rows[tier_mode] for tier_mode in TIER_MODES]
 
 
 def cmd_ablate(args) -> int:

@@ -10,13 +10,11 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .activation import VARIANTS
+from .activation import TIER_MODES, VARIANTS
 from .errors import ConfigError
 from .features import SynthSpec
 from .memory_bank import INIT_RANDOM, INIT_TEXT
 from .objectives import LossWeights
-
-TIER_MODES = ("both", "lev1", "lev2")
 
 
 @dataclass

@@ -65,6 +65,10 @@ class EmptySplit(DataError):
     """Evaluation split contains no items."""
 
 
+class UnlabeledSplit(DataError):
+    """A split that training or scoring needs labeled carries no labels."""
+
+
 class BadMagic(DataError):
     """File does not start with the expected magic bytes."""
 

@@ -48,15 +48,16 @@ _SLAB = 256  # items per step of a split's normalisation: bounds its temporaries
 
 @dataclass
 class SynthSpec:
-    """Knobs of the synthetic token generator."""
+    """Knobs of the synthetic token generator; `RunConfig.synth_spec` holds
+    the reference values."""
 
-    n_classes: int = 10
-    n_tok: int = 32
-    d: int = 64
-    signal_tokens: int = 4
-    noise_sigma: float = 0.3
-    distractor_pool: int = 16
-    seed: int = 7
+    n_classes: int
+    n_tok: int
+    d: int
+    signal_tokens: int
+    noise_sigma: float
+    distractor_pool: int
+    seed: int
 
     def validate(self) -> None:
         if self.n_classes < 1:

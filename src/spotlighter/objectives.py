@@ -28,12 +28,13 @@ from .numerics import softmax_rows
 
 @dataclass
 class LossWeights:
-    """Coefficients of the weighted total plus the shared temperature."""
+    """Coefficients of the weighted total plus the shared temperature;
+    `RunConfig.loss_weights` holds the reference values."""
 
-    lambda1: float = 0.02
-    lambda2: float = 20.0
-    lambda3: float = 0.1
-    tau: float = 0.01
+    lambda1: float
+    lambda2: float
+    lambda3: float
+    tau: float
 
     def __post_init__(self):
         if self.tau <= 0:

@@ -25,6 +25,8 @@ supplies prototypes for scoring, stratification and the cache-free
 `reps_fwd` of the tiers the requested tier modes read, and a pooled cosine
 head classifies once per mode. `split_accuracies` scores a labeled split for
 several tier modes from one such pass; `split_accuracy` is its one-mode case.
+Every selection is checked against `activation`'s tier rule
+(`check_selection`) before any item is scored.
 """
 
 from __future__ import annotations
@@ -35,16 +37,17 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .activation import (
-    VARIANT_REMOVE_TOP,
     check_selection,
     combine_scores,
     kept_count,
+    reads,
     sample_scores,
     select_activated,
     semantic_scores,
     stratify,
+    tier_sizes,
 )
-from .config import TIER_MODES, RunConfig
+from .config import RunConfig
 from .container import read_container, write_container
 from .errors import (
     ConfigError,
@@ -52,9 +55,8 @@ from .errors import (
     DimMismatch,
     EmptySplit,
     HeaderMismatch,
-    InvalidSpec,
     NonFiniteLoss,
-    UsageError,
+    UnlabeledSplit,
     WorkloadTooSmall,
 )
 from .features import FeatureSet, generate_base_novel
@@ -187,12 +189,7 @@ def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_modes,
     with its TRM input computed once here."""
     return tier_inputs([(t, np.take_along_axis(X, idx[..., None], axis=-2))
                         for t, idx in enumerate((tier1, tier2))
-                        if any(_reads(mode, t) for mode in tier_modes)], text, tau)
-
-
-def _reads(tier_mode: str, tier: int) -> bool:
-    """Whether the tier mode classifies from tier `tier` (0 or 1)."""
-    return tier_mode in ("both", f"lev{tier + 1}")
+                        if any(reads(mode, t) for mode in tier_modes)], text, tau)
 
 
 def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
@@ -218,7 +215,7 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
     if train_set.n_items == 0:
         raise EmptySplit("training split is empty")
     if train_set.labels is None:
-        raise InvalidSpec("training split must be labeled")
+        raise UnlabeledSplit("training split must be labeled")
     for key in ("d", "n_tok", "n_classes"):
         if getattr(train_set, key) != getattr(config, key):
             raise DimMismatch(f"config {key} {getattr(config, key)} but features have "
@@ -273,13 +270,13 @@ def predict_batch(tokens: np.ndarray, state: TrainedState,
     The one-mode case of `predict_modes`.
     """
     tier_mode = state.config.tier_mode if tier_mode is None else tier_mode
-    return _raised(predict_modes(tokens, state, class_set, (tier_mode,), k)[tier_mode])
+    return predict_modes(tokens, state, class_set, (tier_mode,), k)[tier_mode]
 
 
 def predict_modes(tokens: np.ndarray, state: TrainedState, class_set: EvalClassSet,
                   tier_modes, k: int | None = None) -> dict:
     """{tier mode: (preds, probs)} for (N, n_tok, d) items, one pass for all
-    the modes; a mode that `check_selection` rejects maps to its error.
+    the modes; raises the first rejection `check_selection` gives a mode.
 
     The modes differ only in which tiers the pooled cosine head averages, and
     with an item axis `reps_fwd` fuses each tier on its own, so one front end
@@ -292,31 +289,17 @@ def predict_modes(tokens: np.ndarray, state: TrainedState, class_set: EvalClassS
     X = np.asarray(tokens)
     if X.ndim != 3 or X.shape[2] != cfg.d:
         raise DimMismatch(f"tokens must be (N, n_tok, {cfg.d}), got shape {X.shape}")
-    out = {}
     for mode in tier_modes:
-        if mode not in TIER_MODES:
-            raise ConfigError(f"tier_mode {mode!r} not in {TIER_MODES}")
-        try:
-            check_selection(X.shape[1], k, cfg.selection_variant, mode)
-        except UsageError as exc:
-            out[mode] = exc
-    modes = [mode for mode in tier_modes if mode not in out]
-    if len(X) == 0 or not modes:
+        check_selection(X.shape[1], k, cfg.selection_variant, mode)
+    if len(X) == 0:
         empty = np.zeros(0, dtype=np.intp), np.zeros((0, len(class_set.text)))
-        return {**out, **dict.fromkeys(modes, empty)}
-    parts = [_predict_chunk(X[i : i + _CHUNK].astype(np.float64), state, class_set, k, modes)
+        return dict.fromkeys(tier_modes, empty)
+    parts = [_predict_chunk(X[i : i + _CHUNK].astype(np.float64), state, class_set, k,
+                            tier_modes)
              for i in range(0, len(X), _CHUNK)]
-    for mode in modes:
-        out[mode] = (np.concatenate([part[mode][0] for part in parts]),
-                     np.concatenate([part[mode][1] for part in parts]))
-    return out
-
-
-def _raised(result):
-    """A `predict_modes`/`split_accuracies` entry, raising it if it is an error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return {mode: (np.concatenate([part[mode][0] for part in parts]),
+                   np.concatenate([part[mode][1] for part in parts]))
+            for mode in tier_modes}
 
 
 def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
@@ -335,7 +318,7 @@ def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
     V, R, _ = reps_fwd(tiers, protos, state.params, state.theta, keep_cache=False)
     out = {}
     for mode in tier_modes:
-        read = [i for i, (t, _, _) in enumerate(tiers) if _reads(mode, t)]
+        read = [i for i, (t, _, _) in enumerate(tiers) if reads(mode, t)]
         v = normalize_rows(np.concatenate([V[i] for i in read], axis=1).mean(axis=1))
         Tp = normalize_rows(np.mean(np.stack([R[i] for i in read], axis=2), axis=2))
         probs = softmax_rows(np.einsum("ncd,nd->nc", Tp, v), cfg.tau)
@@ -352,25 +335,21 @@ def split_accuracy(state: TrainedState, split: FeatureSet,
     """(accuracy %, per-class accuracy list) for one labeled split: the
     one-mode case of `split_accuracies`."""
     tier_mode = state.config.tier_mode if tier_mode is None else tier_mode
-    return _raised(split_accuracies(state, split, use_trained_bank, (tier_mode,))[tier_mode])
+    return split_accuracies(state, split, use_trained_bank, (tier_mode,))[tier_mode]
 
 
 def split_accuracies(state: TrainedState, split: FeatureSet, use_trained_bank: bool,
                      tier_modes) -> dict:
     """{tier mode: (accuracy %, per-class accuracy list)} for one labeled
-    split, from one class-set build and one `predict_modes` pass; a mode that
-    `check_selection` rejects maps to its error."""
+    split, from one class-set build and one `predict_modes` pass."""
     if split.n_items == 0:
         raise EmptySplit(f"{split.split} split is empty")
     if split.labels is None:
-        raise InvalidSpec(f"{split.split} split must be labeled")
+        raise UnlabeledSplit(f"{split.split} split must be labeled")
     ctx = make_eval_class_set(state, split.text_embeddings, use_trained_bank)
     labels = np.asarray(split.labels, dtype=np.int64)
     out = predict_modes(split.tokens, state, ctx, tier_modes)
-    for mode, result in out.items():
-        if isinstance(result, Exception):
-            continue
-        preds = result[0]
+    for mode, (preds, _) in out.items():
         per_class = []
         for c in range(split.n_classes):
             mask = labels == c
@@ -439,11 +418,8 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
     if cfg.semantic_on:
         total += 2 * n * K * d                 # semantic scores
     total += n * max(1, int(np.ceil(np.log2(max(n, 2)))))  # selection sort
-    kept = kept_count(n, k, cfg.selection_variant)
-    m1 = (kept + 1) // 2
-    tiers = {"both": (m1, kept - m1), "lev1": (m1, 0), "lev2": (0, kept - m1)}[cfg.tier_mode]
-    for m in tiers:
-        if m == 0:
+    for t, m in enumerate(tier_sizes(kept_count(n, k, cfg.selection_variant))):
+        if m == 0 or not reads(cfg.tier_mode, t):
             continue
         if cfg.recalc_on:
             total += 2 * m * K * d
@@ -464,12 +440,13 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
 
 def bench_throughput(state: TrainedState, n_items: int, k_list,
                      reps: int = 5, warmup: int = 1) -> ThroughputReport:
-    """Median items/second per k, plus the full-token reference (None for
-    remove-top-k, which cannot keep every token).
+    """Median items/second per k, plus the full-token reference: k = n_tok,
+    None when that keeps fewer than every token (remove-top-k).
 
-    The workload is a fresh synthetic split over the classes the bank was
-    trained on, which the flop count also uses; generation happens before any
-    clock starts.
+    Every k passes `check_selection` under the checkpoint's tier mode before
+    anything is generated. The workload is a fresh synthetic split over the
+    classes the bank was trained on, which the flop count also uses;
+    generation happens before any clock starts.
     """
     cfg = state.config.with_overrides(n_classes=state.bank.n_classes)
     if n_items < 100:
@@ -478,8 +455,7 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
         raise ConfigError(f"bench needs reps >= 1 and warmup >= 0, got {reps} and {warmup}")
     ks = sorted({int(k) for k in k_list})
     for k in ks:
-        if not 1 <= k <= cfg.n_tok:
-            raise ConfigError(f"bench k={k} outside [1, {cfg.n_tok}]")
+        check_selection(cfg.n_tok, k, cfg.selection_variant, cfg.tier_mode)
     per_class = -(-n_items // cfg.n_classes)
     _, workload, _ = generate_base_novel(cfg.synth_spec(), 1, per_class)
     ctx = make_eval_class_set(state, workload.text_embeddings, True)
@@ -504,7 +480,7 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
         )
 
     rows = [measure(k) for k in ks]
-    if cfg.selection_variant == VARIANT_REMOVE_TOP:  # keeps no token at k = n_tok
+    if kept_count(cfg.n_tok, cfg.n_tok, cfg.selection_variant) < cfg.n_tok:
         full = None
     else:
         full = measure(cfg.n_tok) if cfg.n_tok not in ks else rows[ks.index(cfg.n_tok)]

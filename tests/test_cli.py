@@ -9,7 +9,7 @@ import pytest
 from spotlighter import cli, pipeline
 from spotlighter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from spotlighter.config import RunConfig
-from spotlighter.features import generate_base_novel, read_features
+from spotlighter.features import FeatureSet, generate_base_novel, read_features, write_features
 from spotlighter.pipeline import BenchRow, ThroughputReport, harmonic_mean
 
 TINY_FLAGS = ["--d", "16", "--n-tok", "8", "--n-classes", "3",
@@ -150,6 +150,23 @@ def test_train_rejects_features_the_config_does_not_describe(capsys, workdir):
         assert code == EXIT_DATA
         assert err.startswith("error: config ") and len(err.strip().splitlines()) == 1
         assert not os.path.exists("ckpt.spot")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_unlabeled_split_is_a_data_error(capsys, workdir, command):
+    data, _ = train_tiny(capsys, workdir)
+    split = "base-train" if command == "train" else "base-test"
+    labeled = read_features(data / f"{split}.spot")
+    write_features(FeatureSet(tokens=labeled.tokens, labels=None,
+                              text_embeddings=labeled.text_embeddings), "bare.spot")
+    argv = {"train": ["train", *TINY_FLAGS, "--train", "bare.spot", "--out", "bare.ckpt"],
+            "eval": ["eval", "--checkpoint", "ckpt.spot", "--base", "bare.spot",
+                     "--novel", str(data / "novel-test.spot")]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DATA and out == ""
+    subject = {"train": "training", "eval": "base"}[command]
+    assert err == f"error: {subject} split must be labeled\n"
+    assert not os.path.exists("bare.ckpt")
 
 
 def test_train_missing_file_is_data_error(capsys, workdir):
@@ -439,6 +456,18 @@ def test_ablate_trains_once_per_cell_and_matches_per_cell_training(capsys, workd
                    for r in failed)
     else:
         assert failed == []
+
+
+def test_ablate_ends_on_a_fault_that_is_not_a_package_error(capsys, workdir, monkeypatch):
+    # a package error becomes the cell's error rows; a RuntimeError is a
+    # fault, so it ends the sweep before any row is written
+    def broken_train(*args):
+        raise RuntimeError("fault in training")
+
+    monkeypatch.setattr(cli, "train", broken_train)
+    with pytest.raises(RuntimeError, match="fault in training"):
+        main(["ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv"])
+    assert not os.path.exists("sweep.csv")
 
 
 def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):

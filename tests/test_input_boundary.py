@@ -35,6 +35,7 @@ EXIT_CODES = {
     "WorkloadTooSmall": 1,
     "BadMagic": 2, "TruncatedFile": 2, "HeaderMismatch": 2, "VersionMismatch": 2,
     "DimMismatch": 2, "LabelOutOfRange": 2, "EmptySplit": 2, "EmptySelection": 2,
+    "UnlabeledSplit": 2,
     "NonFiniteLoss": 3, "ZeroVector": 3,
     "NonPositiveTemperature": 3,
 }

@@ -20,7 +20,7 @@ from .reference_impls import ref_contrastive, ref_kl_extended, ref_pool_normaliz
 def parts(V_list, R_list, text, X, label=0, tau=0.1):
     """The LossBreakdown losses_fwd_bwd reports (local loss 0)."""
     item = loss_item(text, X, len(V_list), 0.0, label)
-    b, _, _ = losses_fwd_bwd(V_list, R_list, item, LossWeights(tau=tau))
+    b, _, _ = losses_fwd_bwd(V_list, R_list, item, LossWeights(0.02, 20.0, 0.1, tau))
     return b
 
 
@@ -176,7 +176,7 @@ def test_breakdown_invariant(rng):
 
 
 def test_total_rejects_non_finite():
-    w = LossWeights()
+    w = LossWeights(0.02, 20.0, 0.1, 0.01)
     with pytest.raises(NonFiniteLoss):
         total_loss(float("nan"), 0, 0, 0, 0, 0, w)
 

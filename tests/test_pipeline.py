@@ -1,5 +1,5 @@
 import hashlib
-import re
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spotlighter import pipeline
 from spotlighter.activation import (
     VARIANTS,
+    check_selection,
     combine_scores,
     sample_scores,
     select_activated,
@@ -23,7 +24,9 @@ from spotlighter.errors import (
     DimMismatch,
     EmptySplit,
     KOutOfRange,
+    SpotlighterError,
     TruncatedFile,
+    UsageError,
     VersionMismatch,
     WorkloadTooSmall,
 )
@@ -324,33 +327,42 @@ def test_tier_mode_lev1_lev2_run(tiny_state, tiny_episode):
         assert 0 <= m.novel_acc <= 100
 
 
+def rejection(call):
+    """(class, message) of the package error `call()` raises."""
+    with pytest.raises(SpotlighterError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
 @pytest.mark.parametrize("k, digest", [
     (4, "7905417602d3928a2de567c38052d1c43cf74ceb3898ce66319dfb7928b6176e"),
     (1, "ae4c29b7297ba534c29e17fa33c2b05a8f72f19ae00c14f6f6068b6b988e9724"),
 ], ids=["all_modes", "lev2_rejected"])
 def test_shared_pass_equals_one_pass_per_mode_bitwise(tiny_state, tiny_episode, k, digest):
-    # one front end and one fusion serve the three tier modes: each mode's
-    # preds and probs equal a pass of its own byte for byte, and their SHA-256
-    # was recorded when every mode ran its own front end; at k=1 lev2 keeps
-    # too few tokens, and only that mode is rejected
+    # one front end and one fusion serve the tier modes: each mode's preds
+    # and probs equal a pass of its own byte for byte, and their SHA-256 was
+    # recorded when every mode ran its own front end; at k=1 lev2 keeps too
+    # few tokens, so the shared pass scores the other two, and asked for
+    # lev2 it raises the error predict_batch raises
     _, base_test, novel_test = tiny_episode
+    modes = [mode for mode in TIER_MODES if (k, mode) != (1, "lev2")]
     h = hashlib.sha256()
     for split, trained in ((base_test, True), (novel_test, False)):
         ctx = make_eval_class_set(tiny_state, split.text_embeddings, trained)
-        shared = predict_modes(split.tokens, tiny_state, ctx, TIER_MODES, k=k)
-        assert sorted(shared) == sorted(TIER_MODES)
-        for mode in TIER_MODES:
-            if k == 1 and mode == "lev2":
-                assert isinstance(shared[mode], ConfigError)
-                with pytest.raises(ConfigError, match=re.escape(str(shared[mode]))):
-                    predict_batch(split.tokens, tiny_state, ctx, k=k, tier_mode=mode)
-                continue
+        shared = predict_modes(split.tokens, tiny_state, ctx, modes, k=k)
+        assert list(shared) == modes
+        for mode in modes:
             want = predict_batch(split.tokens, tiny_state, ctx, k=k, tier_mode=mode)
             for got, ref in zip(shared[mode], want):
                 assert got.dtype == ref.dtype and got.shape == ref.shape
                 assert got.tobytes() == ref.tobytes()
             h.update(want[0].astype("<i8").tobytes())
             h.update(want[1].astype("<f8").tobytes())
+        if k == 1:
+            got = rejection(lambda: predict_modes(split.tokens, tiny_state, ctx, TIER_MODES, k=k))
+            assert got[0] is ConfigError
+            assert got == rejection(lambda: predict_batch(split.tokens, tiny_state, ctx, k=k,
+                                                          tier_mode="lev2"))
     assert h.hexdigest() == digest
 
 
@@ -358,15 +370,63 @@ def test_shared_pass_equals_one_pass_per_mode_bitwise(tiny_state, tiny_episode, 
 def test_split_accuracies_equal_one_split_accuracy_per_mode(tiny_state, tiny_episode, k_act):
     _, base_test, novel_test = tiny_episode
     state = replace(tiny_state, config=tiny_state.config.with_overrides(k_act=k_act))
+    modes = [mode for mode in TIER_MODES if (k_act, mode) != (1, "lev2")]
     for split, trained in ((base_test, True), (novel_test, False)):
-        shared = split_accuracies(state, split, trained, TIER_MODES)
-        for mode in TIER_MODES:
-            if k_act == 1 and mode == "lev2":
-                assert isinstance(shared[mode], ConfigError)
-                with pytest.raises(ConfigError):
-                    split_accuracy(state, split, trained, mode)
-            else:
-                assert shared[mode] == split_accuracy(state, split, trained, mode)
+        shared = split_accuracies(state, split, trained, modes)
+        assert list(shared) == modes
+        for mode in modes:
+            assert shared[mode] == split_accuracy(state, split, trained, mode)
+        if k_act == 1:
+            ctx = make_eval_class_set(state, split.text_embeddings, trained)
+            want = rejection(lambda: predict_batch(split.tokens, state, ctx, tier_mode="lev2"))
+            assert want[0] is ConfigError
+            assert rejection(lambda: split_accuracies(state, split, trained, TIER_MODES)) == want
+            assert rejection(lambda: split_accuracy(state, split, trained, "lev2")) == want
+
+
+def test_check_selection_is_the_rule_predict_batch_follows(tiny_state, tiny_episode,
+                                                           monkeypatch):
+    # n_tok 1-8, every k in [0, n_tok + 1], every variant and tier mode:
+    # check_selection passes exactly when predict_batch returns, which is
+    # when the tiers the mode reads hold a token; the tiers that reach
+    # reps_fwd are those nonempty read tiers, ceil(m/2) high and floor(m/2)
+    # low tokens of the m kept
+    _, base_test, _ = tiny_episode
+    tiers_read = {"both": (0, 1), "lev1": (0,), "lev2": (1,)}
+    fused = []
+    reps = pipeline.reps_fwd
+
+    def spy(tiers, *args, **kwargs):
+        fused.append([(t, tokens.shape[-2]) for t, tokens, _ in tiers])
+        return reps(tiers, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "reps_fwd", spy)
+    for variant in VARIANTS:
+        state = replace(tiny_state,
+                        config=tiny_state.config.with_overrides(selection_variant=variant))
+        ctx = make_eval_class_set(state, base_test.text_embeddings, True)
+        for n_tok in range(1, 9):
+            X = base_test.tokens[:2, :n_tok]
+            for k in range(n_tok + 2):
+                kept = n_tok - k if variant == "remove-top-k" else k
+                sizes = (math.ceil(kept / 2), kept // 2)
+                for mode in TIER_MODES:
+                    want = [(t, sizes[t]) for t in tiers_read[mode] if sizes[t] > 0]
+                    ok = 1 <= k <= n_tok and bool(want)
+                    case = (variant, n_tok, k, mode)
+                    try:
+                        check_selection(n_tok, k, variant, mode)
+                        checked = True
+                    except UsageError:
+                        checked = False
+                    fused.clear()
+                    try:
+                        predict_batch(X, state, ctx, k=k, tier_mode=mode)
+                        returned = True
+                    except UsageError:
+                        returned = False
+                    assert checked == returned == ok, case
+                    assert fused == ([want] if ok else []), case
 
 
 def test_config_variants_train_and_evaluate(tiny_config, tiny_episode):
@@ -514,8 +574,24 @@ def test_bench_checks_the_k_list_before_generating(tiny_state, monkeypatch):
         raise AssertionError("workload generated for an invalid k list")
 
     monkeypatch.setattr(pipeline, "generate_base_novel", generate)
-    with pytest.raises(ConfigError, match="k=99"):
+    with pytest.raises(KOutOfRange, match="k=99"):
         bench_throughput(tiny_state, n_items=120, k_list=[2, 99])
+
+
+def test_bench_checks_each_k_under_the_checkpoint_tier_mode(tiny_state, tiny_episode,
+                                                           monkeypatch):
+    # lev2 reads the low tier, which k=1 leaves empty: bench rejects that k
+    # before generating, with the error predict_batch raises
+    def generate(*args):
+        raise AssertionError("workload generated for a k the tier mode rejects")
+
+    state = replace(tiny_state, config=tiny_state.config.with_overrides(tier_mode="lev2"))
+    monkeypatch.setattr(pipeline, "generate_base_novel", generate)
+    got = rejection(lambda: bench_throughput(state, n_items=120, k_list=[1, 4]))
+    _, base_test, _ = tiny_episode
+    ctx = make_eval_class_set(state, base_test.text_embeddings, True)
+    assert got[0] is ConfigError
+    assert got == rejection(lambda: predict_batch(base_test.tokens, state, ctx, k=1))
 
 
 def test_bench_report_contract(tiny_state):
