@@ -21,6 +21,7 @@ tier2 = stream.normals(8, d)
 
 params = FusionParams.init(d, heads, stream, alpha=0.2)
 theta = TransformerBlockParams.random(d, heads, stream.child(1))  # the frozen block
+theta_bytes = theta.to_bytes()
 tiers = tier_inputs([(0, tier1), (1, tier2)], text, 0.01)  # text-side matching, once
 V_list, R_list, _ = reps_fwd(tiers, protos, params, theta)
 V, R = np.vstack(V_list), np.vstack(R_list)
@@ -36,7 +37,7 @@ print("zero weights, alpha=0: text == [T; T]?  ",
       np.array_equal(R0, np.vstack([text, text])))
 
 print("\ntrainable parameters at d=64, 4 heads, 2x FFN:")
-print(f"  enumerated: {params.n_params()}")
+print(f"  enumerated: {params.flat.size}")
 print(f"  analytic:   {trainable_param_count(d, 2)}")
 per_tensor = {}
 for name, arr in params.tensors():
@@ -45,4 +46,4 @@ for name, arr in params.tensors():
 for group, count in per_tensor.items():
     print(f"  {group:<6} {count}")
 print("\nfrozen block bytes are stable across forward passes:",
-      theta.to_bytes() == theta.to_bytes())
+      theta.to_bytes() == theta_bytes)

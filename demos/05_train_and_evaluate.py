@@ -20,7 +20,7 @@ print(f"training on {base_train.n_items} items "
 t0 = time.perf_counter()
 state = train(cfg, base_train)
 print(f"{cfg.epochs} epochs in {time.perf_counter() - t0:.1f}s; "
-      f"{state.params.n_params()} trainable parameters\n")
+      f"{state.params.flat.size} trainable parameters\n")
 
 print(f"{'epoch':>5} {'total':>9} {'cls':>7} {'reg_text':>9} {'kl_vis':>8} {'local':>8} "
       f"{'drift':>8}")

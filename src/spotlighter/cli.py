@@ -109,7 +109,7 @@ def cmd_train(args) -> int:
         "epochs": cfg.epochs,
         "history": state.history,
         "final_train_acc": round(final_acc, 2),
-        "trainable_param_count": state.params.n_params(),
+        "trainable_param_count": state.params.flat.size,
         "checkpoint": args.out,
     }
     print(json.dumps(report, sort_keys=True))
@@ -227,7 +227,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _build_config(args, extra_defaults=_GRADCHECK_DEFAULTS)
-    report = gradcheck_total_loss(cfg, n_seeds=args.seeds, eps=args.eps)
+    report = gradcheck_total_loss(cfg, n_seeds=args.seeds)
     for name, err in report["per_group"].items():
         print(f"{name:<14} worst {err:.3e}")
     print(f"max relative error over {report['seeds']} seeds: "
@@ -247,8 +247,7 @@ def cmd_bench(args) -> int:
         k_list = [int(tok) for tok in args.k_list.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--k-list: {args.k_list!r} is not a list of ints") from exc
-    report = bench_throughput(state, n_items=args.items, k_list=k_list,
-                              reps=args.reps, warmup=args.warmup)
+    report = bench_throughput(state, n_items=args.items, k_list=k_list, reps=args.reps)
     print(json.dumps(report.to_dict(), sort_keys=True))
     if args.csv:
         rows = list(report.rows)
@@ -258,7 +257,7 @@ def cmd_bench(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(_BENCH_COLUMNS)
             for row in rows:
-                writer.writerow([row.k, row.k == state.config.n_tok,
+                writer.writerow([row.k, row is report.full_row,
                                  f"{row.items_per_sec:.1f}", f"{row.wallclock_s:.6f}",
                                  f"{row.accuracy:.2f}", row.flops])
     return EXIT_OK
@@ -304,14 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="finite-difference check of all trainable gradients")
     _add_config_flags(p)
     p.add_argument("--seeds", type=int, default=100, help="[100]")
-    p.add_argument("--eps", type=float, default=1e-5, help="[1e-5]")
     p.set_defaults(run=cmd_gradcheck)
 
     p = sub.add_parser("bench", help="throughput/accuracy sweep over k")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--items", type=int, default=1000, help="[1000]")
     p.add_argument("--reps", type=int, default=5, help="[5]")
-    p.add_argument("--warmup", type=int, default=1, help="[1]")
     p.add_argument("--k-list", default="4,8,16,32", help="[4,8,16,32]")
     p.add_argument("--csv", default=None, help="also write rows to this CSV")
     p.set_defaults(run=cmd_bench)

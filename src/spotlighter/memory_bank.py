@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, InvalidK, LabelOutOfRange, ZeroVector
-from .numerics import cosine_matrix, softmax_rows
+from .numerics import cosine_matrix, cross_entropy, normalize_rows, softmax_rows
 from .rng import Stream
 
 INIT_TEXT = "text"
@@ -84,10 +84,7 @@ def init_bank(text_embeddings: np.ndarray, n_prototypes: int, mode: str,
         raw = stream.normals(C, n_prototypes, d)
     else:
         raise ValueError(f"unknown init mode {mode!r}")
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise ZeroVector("degenerate prototype seed")
-    return MemoryBank(raw / norms, beta=beta)
+    return MemoryBank(normalize_rows(raw), beta=beta)
 
 
 def _class_scores(queries: np.ndarray, bank: MemoryBank) -> np.ndarray:
@@ -154,8 +151,4 @@ def local_loss(bank: MemoryBank, tok_act: np.ndarray, label: int,
     prototype cosine (max pools over K, mean pools over tokens), scaled by
     1/temperature before the softmax.
     """
-    if not 0 <= label < bank.n_classes:
-        raise LabelOutOfRange(f"label {label} of {bank.n_classes}")
-    z = _class_scores(tok_act, bank).mean(axis=0) / temperature
-    m = float(z.max())
-    return float(np.log(np.exp(z - m).sum()) + m - z[label])
+    return float(cross_entropy(_class_scores(tok_act, bank).mean(axis=0) / temperature, label))

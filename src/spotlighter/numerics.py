@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import DimMismatch, NonFiniteLoss, NonPositiveTemperature, NumericError, ZeroVector
+from .errors import (DimMismatch, LabelOutOfRange, NonFiniteLoss, NonPositiveTemperature,
+                     NumericError, ZeroVector)
 from .rng import Stream
 
 _NORM_FLOOR = 1e-12
@@ -83,6 +84,17 @@ def softmax_rows(X: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     with np.errstate(over="ignore"):
         e = np.exp((X - X.max(axis=-1, keepdims=True)) / temperature)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy(z: np.ndarray, label: int):
+    """Log-sum-exp cross-entropy of `label` under the logits along the last
+    axis, one loss per leading index; LabelOutOfRange unless the label
+    indexes a logit."""
+    C = z.shape[-1]
+    if not 0 <= label < C:
+        raise LabelOutOfRange(f"label {label} of {C}")
+    zmax = z.max(axis=-1, keepdims=True)
+    return np.log(np.exp(z - zmax).sum(axis=-1)) + zmax[..., 0] - z[..., label]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

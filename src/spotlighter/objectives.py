@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, LabelOutOfRange, NonFiniteLoss, NonPositiveTemperature, ZeroVector
-from .numerics import softmax_rows
+from .errors import DimMismatch, NonFiniteLoss, NonPositiveTemperature, ZeroVector
+from .numerics import cross_entropy, softmax_rows
 
 
 @dataclass
@@ -85,18 +85,13 @@ def _contrastive_fwd(v: np.ndarray, class_rows: np.ndarray, label: int, tau: flo
     same mean-then-normalize rule. Leading axes, shared with v, give one loss
     each.
     """
-    C = class_rows.shape[-3]
-    if not 0 <= label < C:
-        raise LabelOutOfRange(f"label {label} of {C}")
     m = class_rows.mean(axis=-2)
     nrm = np.linalg.norm(m, axis=-1, keepdims=True)
     if np.any(nrm < 1e-12):
         raise ZeroVector("pooled class representative has zero norm")
     Tp = m / nrm
     z = (Tp @ v[..., None])[..., 0] / tau
-    zmax = z.max(axis=-1, keepdims=True)
-    loss = np.log(np.exp(z - zmax).sum(axis=-1)) + zmax[..., 0] - z[..., label]
-    return loss, (v, nrm, Tp, z, label, tau, class_rows.shape[-2])
+    return cross_entropy(z, label), (v, nrm, Tp, z, label, tau, class_rows.shape[-2])
 
 
 def _contrastive_bwd(cache, scale: float = 1.0):

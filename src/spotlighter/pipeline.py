@@ -82,6 +82,8 @@ _TAG_SHUFFLE = 103
 _TAG_EVAL_BANK = 104
 _TAG_GRADCHECK = 105
 
+_GRADCHECK_EPS = 1e-5  # the gradient check's central-difference step
+
 
 # --------------------------------------------------------------------------
 # state containers
@@ -148,9 +150,8 @@ def make_eval_class_set(state: TrainedState, text_embeddings: np.ndarray,
         raise DimMismatch(
             f"text embeddings have width {text.shape[-1]}, model expects {cfg.d}"
         )
-    if use_trained_bank and len(text) != state.bank.n_classes:
-        raise DimMismatch(f"split has {len(text)} classes, the trained bank "
-                          f"{state.bank.n_classes}")
+    if use_trained_bank and len(text) != cfg.n_classes:
+        raise DimMismatch(f"split has {len(text)} classes, the trained bank {cfg.n_classes}")
     matching = init_bank(text, cfg.n_proto, cfg.init_mode, 0.0,
                          seed=Stream(cfg.seed).child(_TAG_EVAL_BANK).seed,
                          beta=cfg.beta)
@@ -439,20 +440,20 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
 
 
 def bench_throughput(state: TrainedState, n_items: int, k_list,
-                     reps: int = 5, warmup: int = 1) -> ThroughputReport:
-    """Median items/second per k, plus the full-token reference: k = n_tok,
-    None when that keeps fewer than every token (remove-top-k).
+                     reps: int = 5) -> ThroughputReport:
+    """Median items/second per k over `reps` timed passes after one warm-up
+    pass, plus the full-token reference: k = n_tok, None when that keeps
+    fewer than every token (remove-top-k).
 
     Every k passes `check_selection` under the checkpoint's tier mode before
-    anything is generated. The workload is a fresh synthetic split over the
-    classes the bank was trained on, which the flop count also uses;
-    generation happens before any clock starts.
+    anything is generated. The workload is a fresh synthetic split under the
+    checkpoint's config; generation happens before any clock starts.
     """
-    cfg = state.config.with_overrides(n_classes=state.bank.n_classes)
+    cfg = state.config
     if n_items < 100:
         raise WorkloadTooSmall(f"need >= 100 items, got {n_items}")
-    if reps < 1 or warmup < 0:
-        raise ConfigError(f"bench needs reps >= 1 and warmup >= 0, got {reps} and {warmup}")
+    if reps < 1:
+        raise ConfigError(f"bench needs reps >= 1, got {reps}")
     ks = sorted({int(k) for k in k_list})
     for k in ks:
         check_selection(cfg.n_tok, k, cfg.selection_variant, cfg.tier_mode)
@@ -464,8 +465,7 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
     actual = workload.n_items
 
     def measure(k: int) -> BenchRow:
-        for _ in range(warmup):
-            predict_batch(tokens, state, ctx, k=k)
+        predict_batch(tokens, state, ctx, k=k)  # warm-up
         times = []
         preds = None
         for _ in range(reps):
@@ -487,32 +487,31 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
     note = ("trainable_param_count is the exact number of trainable tensor "
             "entries at the configured widths")
     return ThroughputReport(rows=rows, full_row=full, n_items=actual, reps=reps,
-                            trainable_param_count=state.params.n_params(), note=note)
+                            trainable_param_count=state.params.flat.size, note=note)
 
 
 # --------------------------------------------------------------------------
 # gradient-check harness
 # --------------------------------------------------------------------------
 
-def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5) -> dict:
+def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100) -> dict:
     """Finite-difference verification of the full objective's gradients.
 
     For each seed a tiny episode is generated, the non-trainable stage
     (scores, selection, bank update, tiers and their TRM inputs) is run once
     and frozen, and the analytic gradient of the total loss w.r.t. every
     fusion parameter is compared against central differences of the same
-    forward (`_fast_objective`). Parameter draws that would place a
-    text-regularizer entry within finite-difference reach of the absolute-
-    value kink (or a pooled norm near zero) are deterministically redrawn,
-    since the comparison is undefined at nondifferentiable points.
+    forward (`_fast_objective`), step `_GRADCHECK_EPS`. Parameter draws that
+    would place a text-regularizer entry within finite-difference reach of
+    the absolute-value kink (or a divided-by norm near zero) are
+    deterministically redrawn, since the comparison is undefined at
+    nondifferentiable points.
     """
     cfg.validate()
     if cfg.d > 16:
         raise ConfigError(f"gradient check requires d <= 16, got {cfg.d}")
     if n_seeds < 1:
         raise ConfigError(f"gradient check needs at least one seed, got {n_seeds}")
-    if not 1e-6 <= eps <= 1e-3:  # NaN fails this too
-        raise ConfigError(f"gradient check eps {eps} outside [1e-6, 1e-3]")
     # the check fuses every nonempty tier, as training does
     check_selection(cfg.n_tok, cfg.k_act, cfg.selection_variant, "both")
     weights = cfg.loss_weights()
@@ -537,13 +536,13 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5) 
         protos = bank.prototypes[label]
 
         params, V_list, R_list, cache = _draw_kink_safe_params(cfg, case, tiers, protos,
-                                                               text, theta, eps)
+                                                               text, theta)
         item = loss_item(text, X, len(tiers), local, label)
         _, dV, dR = losses_fwd_bwd(V_list, R_list, item, weights)
         analytic = reps_bwd(cache, dV, dR)
 
         objective = _fast_objective(params, tiers, protos, theta, item, weights)
-        errors = finite_difference_errors(objective, params.flat, analytic, eps)
+        errors = finite_difference_errors(objective, params.flat, analytic, _GRADCHECK_EPS)
         worst = max(worst, float(errors.max()))
         pos = 0
         for name, arr in params.tensors():
@@ -552,7 +551,7 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100, eps: float = 1e-5) 
             pos += arr.size
 
     return {
-        "seeds": n_seeds, "eps": eps, "threshold": 1e-4,
+        "seeds": n_seeds, "eps": _GRADCHECK_EPS, "threshold": 1e-4,
         "max_rel_error": worst,
         "per_group": dict(sorted(per_group.items())),
         "passed": bool(worst < 1e-4),
@@ -575,15 +574,16 @@ def _fast_objective(params: FusionParams, tiers, protos, theta: TransformerBlock
 
 
 def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
-                           theta: TransformerBlockParams, eps: float):
+                           theta: TransformerBlockParams):
     """Sample fusion parameters whose neighborhood is differentiable.
 
     Redraws (deterministically) while any |rep - text| entry sits within a
-    safety margin of zero or any pooled representative norm is tiny. Returns
-    the accepted draw with its `reps_fwd` output: (params, V_list, R_list,
-    cache).
+    safety margin of zero or any norm the objective divides by is tiny: the
+    pooled visual sets, every class row of each tier and every class's mean
+    over the tiers. Returns the accepted draw with its `reps_fwd` output:
+    (params, V_list, R_list, cache).
     """
-    margin = 50.0 * eps
+    margin = 50.0 * _GRADCHECK_EPS
     for attempt in range(64):
         stream = case.child(10 + attempt)
         params = FusionParams.init(cfg.d, cfg.heads, stream, ffn_mult=cfg.ffn_mult,
@@ -594,7 +594,8 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
         norms_ok = (
             np.linalg.norm(np.vstack(V_list).mean(axis=0)) > 1e-3
             and all(np.linalg.norm(V.mean(axis=0)) > 1e-3 for V in V_list)
-            and all(np.linalg.norm(R.mean(axis=0)) > 1e-3 for R in R_list)
+            and all(np.linalg.norm(R, axis=-1).min() > 1e-3 for R in R_list)
+            and np.linalg.norm(np.mean(R_list, axis=0), axis=-1).min() > 1e-3
         )
         if diff_ok and norms_ok:
             return params, V_list, R_list, cache
@@ -636,20 +637,21 @@ def _ckpt_layout(header: dict):
 
 def load_state(path) -> TrainedState:
     """Read a SPOTCKPT file whose manifest lists exactly the tensors its
-    config implies, all finite. The bank keeps the class count it was
-    trained on, the one size the config does not fix."""
+    config implies, all finite; the config fixes every shape, the bank's
+    (n_classes, n_proto, d) included."""
     header, arrays = read_container(path, CKPT_MAGIC, CKPT_VERSION,
                                     ("config", "history", "tensors"), _ckpt_layout)
     cfg = RunConfig.from_dict(header["config"])
     # the payload matches the manifest, so checking the config's entry count
     # first bounds the blank state below by the file's size
-    n_fixed = trainable_param_count(cfg.d, cfg.ffn_mult) + block_param_count(cfg.d, cfg.ffn_mult)
-    if not arrays or arrays[-1].ndim != 3 or sum(a.size for a in arrays[:-1]) != n_fixed:
+    n_entries = (trainable_param_count(cfg.d, cfg.ffn_mult)
+                 + block_param_count(cfg.d, cfg.ffn_mult) + cfg.n_classes * cfg.n_proto * cfg.d)
+    if sum(a.size for a in arrays) != n_entries:
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")
     state = TrainedState(
         params=FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha),
         theta=TransformerBlockParams.zeros(cfg.d, cfg.heads, cfg.ffn_mult),
-        bank=MemoryBank(np.zeros((len(arrays[-1]), cfg.n_proto, cfg.d)), beta=cfg.beta),
+        bank=MemoryBank(np.zeros((cfg.n_classes, cfg.n_proto, cfg.d)), beta=cfg.beta),
         config=cfg, history=header["history"])
     if header["tensors"] != _manifest(state):
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")

@@ -123,9 +123,6 @@ class FusionParams:
         out.append(("trm.b", self.trm_b))
         return out
 
-    def n_params(self) -> int:
-        return self.flat.size
-
     @classmethod
     def init(cls, d: int, n_heads: int, stream: Stream, *, ffn_mult: int = 2,
              alpha: float = 0.2, scale: float = 0.05) -> "FusionParams":

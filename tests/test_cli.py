@@ -10,6 +10,7 @@ from spotlighter import cli, pipeline
 from spotlighter.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from spotlighter.config import RunConfig
 from spotlighter.features import FeatureSet, generate_base_novel, read_features, write_features
+from spotlighter.memory_bank import MemoryBank
 from spotlighter.pipeline import BenchRow, ThroughputReport, harmonic_mean
 
 TINY_FLAGS = ["--d", "16", "--n-tok", "8", "--n-classes", "3",
@@ -360,25 +361,33 @@ def test_bench_runs_on_a_remove_top_k_checkpoint(capsys, workdir):
 
 
 def test_bench_uses_the_class_count_the_bank_was_trained_on(capsys, workdir):
-    # a 3-class bank under a config that names 10 classes (`train` rejects
-    # such features, but a checkpoint's config does not fix the bank's class
-    # count): the bench workload and its flop count follow the bank
-    data = gen_tiny(capsys, workdir)
-    code, _, err = run(capsys, "train", *TINY_FLAGS, "--epochs", "1",
-                       "--train", str(data / "base-train.spot"), "--out", "ckpt.spot")
-    assert code == EXIT_OK, err
+    # `train` builds the bank with the config's class count, so the bench
+    # workload and its flop count follow the checkpoint's config
+    train_tiny(capsys, workdir, "--epochs", "1")
     state = pipeline.load_state("ckpt.spot")
-    pipeline.save_state(replace(state, config=state.config.with_overrides(n_classes=10)),
-                        "ckpt.spot")
-    cfg = pipeline.load_state("ckpt.spot").config
-    assert cfg.n_classes == 10
-    code, out, err = run(capsys, "bench", "--checkpoint", "ckpt.spot", "--items", "102",
+    assert state.bank.n_classes == state.config.n_classes == 3
+    code, out, err = run(capsys, "bench", "--checkpoint", "ckpt.spot", "--items", "100",
                          "--reps", "1", "--k-list", "4")
     assert code == EXIT_OK, err
     payload = json.loads(out.strip().splitlines()[-1])
-    assert payload["n_items"] == 102
-    assert (payload["rows"][0]["flops"]
-            == pipeline.flop_count_inference(replace(cfg, n_classes=3), 4))
+    assert payload["n_items"] == 102  # 34 items for each of the 3 classes
+    assert payload["rows"][0]["flops"] == pipeline.flop_count_inference(state.config, 4)
+
+
+@pytest.mark.parametrize("bank_classes, config_classes", [(1, 3), (3, 10)])
+def test_a_bank_that_disagrees_with_its_config_is_a_data_error(capsys, workdir,
+                                                               bank_classes, config_classes):
+    data, _ = train_tiny(capsys, workdir)
+    state = pipeline.load_state("ckpt.spot")
+    bank = MemoryBank(state.bank.prototypes[:bank_classes], beta=state.bank.beta)
+    config = state.config.with_overrides(n_classes=config_classes)
+    pipeline.save_state(replace(state, bank=bank, config=config), "ckpt.spot")
+    for argv in (["eval", "--base", str(data / "base-test.spot"),
+                  "--novel", str(data / "novel-test.spot")],
+                 ["bench", "--items", "100", "--reps", "1", "--k-list", "4"]):
+        code, _, err = run(capsys, *argv, "--checkpoint", "ckpt.spot")
+        assert code == EXIT_DATA, err
+        assert "tensor manifest does not fit the config" in err
 
 
 def test_bench_workload_too_small(capsys, workdir):

@@ -149,6 +149,32 @@ def test_gradcheck_rejects_large_width():
         gradcheck_total_loss(cfg, n_seeds=1)
 
 
+def _shrink_row(R_list):
+    R_list[0][0] *= 1e-6 / np.linalg.norm(R_list[0][0])
+
+
+def _cancel_tier_mean(R_list):
+    R_list[1][0] = 1e-6 - R_list[0][0]
+
+
+@pytest.mark.parametrize("degrade", [_shrink_row, _cancel_tier_mean])
+def test_kink_safe_draw_guards_the_norms_the_objective_divides_by(monkeypatch, degrade):
+    # every draw gets a near-zero norm the objective divides by: one class
+    # row of a tier (the per-tier terms), or one class's mean over the tiers
+    # (the joint term). The |R - text| margin passes at this seed, so only
+    # the norm guard can refuse the draws.
+    def degraded(*args, **kwargs):
+        V_list, R_list, cache = reps_fwd(*args, **kwargs)
+        R_list = [R.copy() for R in R_list]
+        degrade(R_list)
+        return V_list, R_list, cache
+
+    monkeypatch.setattr(pipeline, "reps_fwd", degraded)
+    cfg = RunConfig().with_overrides(**_GRADCHECK_DEFAULTS, seed=7)
+    with pytest.raises(NonFiniteLoss, match="could not find a kink-safe parameter draw"):
+        gradcheck_total_loss(cfg, n_seeds=1)
+
+
 def test_grad_check_raises_on_non_finite():
     def bad(rows):
         return np.full(len(rows), np.nan)

@@ -271,11 +271,8 @@ def test_one_coercion_for_files_flags_and_environment(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv, needle", [
     (["bench", "--reps", "0"], "reps"),
-    (["bench", "--warmup", "-1"], "warmup"),
     (["bench", "--k-list", "a"], "--k-list"),
     (["bench", "--k-list", ","], "--k-list"),
-    (["gradcheck", "--eps", "1e-7"], "eps"),
-    (["gradcheck", "--eps", "nan"], "eps"),
     (["gradcheck", "--seeds", "0"], "seed"),
     (["gradcheck", "--seeds", "-3"], "seed"),
 ])

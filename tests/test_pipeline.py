@@ -80,7 +80,7 @@ def test_zero_epochs_initialized_empty_history(tiny_config, tiny_episode):
     base_train, _, _ = tiny_episode
     state = train(tiny_config.with_overrides(epochs=0), base_train)
     assert state.history == []
-    assert state.params.n_params() > 0
+    assert state.params.flat.size > 0
 
 
 def test_training_leaves_frozen_parts_untouched(tiny_config, tiny_episode):
@@ -437,7 +437,8 @@ def test_config_variants_train_and_evaluate(tiny_config, tiny_episode):
     state = train(cfg, base_train)
     m = evaluate(state, base_test, novel_test)
     assert np.isfinite(m.harmonic)
-    assert state.params.n_params() == trainable_param_count(cfg.d, cfg.ffn_mult)
+    assert (sum(a.size for _, a in state.params.tensors())
+            == trainable_param_count(cfg.d, cfg.ffn_mult))
 
 
 # --- evaluation -----------------------------------------------------------------
@@ -595,15 +596,15 @@ def test_bench_checks_each_k_under_the_checkpoint_tier_mode(tiny_state, tiny_epi
 
 
 def test_bench_report_contract(tiny_state):
-    rep = bench_throughput(tiny_state, n_items=120, k_list=[2, 4], reps=2, warmup=1)
+    rep = bench_throughput(tiny_state, n_items=120, k_list=[2, 4], reps=2)
     assert {r.k for r in rep.rows} == {2, 4}
     assert rep.full_row.k == tiny_state.config.n_tok
     for row in rep.rows + [rep.full_row]:
         assert row.items_per_sec > 0
         assert len(row.rep_times) == 2
-    assert rep.trainable_param_count == tiny_state.params.n_params()
+    assert rep.trainable_param_count == tiny_state.params.flat.size
     # identical seeds give identical accuracy numbers
-    rep2 = bench_throughput(tiny_state, n_items=120, k_list=[2, 4], reps=2, warmup=1)
+    rep2 = bench_throughput(tiny_state, n_items=120, k_list=[2, 4], reps=2)
     assert [r.accuracy for r in rep2.rows] == [r.accuracy for r in rep.rows]
 
 
