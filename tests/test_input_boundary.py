@@ -269,13 +269,15 @@ def test_one_coercion_for_files_flags_and_environment(tmp_path, monkeypatch):
 
 # --- command flags outside the config ----------------------------------------------
 
+# the ids stay those the rows had while the table also held the deleted
+# bench --warmup and gradcheck --eps checks, so each row keeps its name
 @pytest.mark.parametrize("argv, needle", [
     (["bench", "--reps", "0"], "reps"),
     (["bench", "--k-list", "a"], "--k-list"),
     (["bench", "--k-list", ","], "--k-list"),
     (["gradcheck", "--seeds", "0"], "seed"),
     (["gradcheck", "--seeds", "-3"], "seed"),
-])
+], ids=["argv0-reps", "argv2---k-list", "argv3---k-list", "argv6-seed", "argv7-seed"])
 def test_command_flags_fail_cleanly(files, tmp_path, argv, needle):
     if argv[0] == "bench":
         ckpt = tmp_path / "ckpt.bin"
