@@ -4,17 +4,22 @@ Commands: gen, train, eval, ablate, gradcheck, bench. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numeric failure (the error's family
 carries its code; an OS error reading or writing a file is a data error;
 ablate records a package error as a cell's error rows, and any other
-exception ends it). SPOTLIGHTER_SEED provides the default seed; an explicit
-config file value or --seed flag overrides it. Config files are flat
-key=value text; flags override the file.
+exception ends it). ablate trains its 24 cells in parallel, one forked
+worker per CPU the process may use (its affinity mask; taskset narrows
+it), and writes the rows in grid order; the workers end with the sweep.
+SPOTLIGHTER_SEED provides the default seed; an explicit config file value
+or --seed flag overrides it. Config files are flat key=value text; flags
+override the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -194,6 +199,35 @@ def _tier_rows(base_cfg: RunConfig, cell: dict, base_train, base_test, novel_tes
     return [rows[tier_mode] for tier_mode in TIER_MODES]
 
 
+_worker_job = None  # in a sweep's pool worker only: the sweep's job
+
+
+def _start_worker(job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_in_worker(cell: dict) -> list:
+    # main's error state, set here rather than taken on from the parent
+    with np.errstate(all="ignore"):
+        return _worker_job(cell)
+
+
+def _sweep_rows(cells, results) -> list:
+    """The CSV rows of the cells' results, taken in cell order, with one
+    stderr progress line per row."""
+    n_rows = len(cells) * len(TIER_MODES)
+    rows = []
+    for cell, cell_results in zip(cells, results):
+        for tier_mode, result in zip(TIER_MODES, cell_results):
+            row = {k: str(v) for k, v in cell.items()}
+            row.update(tier_mode=tier_mode, **result)
+            rows.append(row)
+            print(f"[{len(rows)}/{n_rows}] {row['status']} "
+                  + " ".join(f"{k}={row[k]}" for k in _ABLATION_GRID), file=sys.stderr)
+    return rows
+
+
 def cmd_ablate(args) -> int:
     base_cfg = _build_config(args)
     base_train, base_test, novel_test = generate_base_novel(
@@ -201,20 +235,30 @@ def cmd_ablate(args) -> int:
     )
     # 24 trainings, each evaluated under the three tier modes (_tier_rows,
     # whose return frees its state before the next training); tier_mode is
-    # the grid's last axis, so the rows keep the product order
+    # the grid's last axis, so the rows keep the product order. The cells
+    # run in a fork pool of one worker per CPU the process may use; forked
+    # workers inherit the job, splits included, so a task carries only its
+    # cell, and imap hands the results back in cell order
     names = list(_ABLATION_GRID)[:-1]
-    cells = list(itertools.product(*(_ABLATION_GRID[n] for n in names)))
-    n_rows = len(cells) * len(TIER_MODES)
-    rows = []
-    for values in cells:
-        cell = dict(zip(names, values))
-        results = _tier_rows(base_cfg, cell, base_train, base_test, novel_test)
-        for tier_mode, result in zip(TIER_MODES, results):
-            row = {k: str(v) for k, v in cell.items()}
-            row.update(tier_mode=tier_mode, **result)
-            rows.append(row)
-            print(f"[{len(rows)}/{n_rows}] {row['status']} "
-                  + " ".join(f"{k}={row[k]}" for k in _ABLATION_GRID), file=sys.stderr)
+    cells = [dict(zip(names, values))
+             for values in itertools.product(*(_ABLATION_GRID[n] for n in names))]
+    job = functools.partial(_tier_rows, base_cfg, base_train=base_train,
+                            base_test=base_test, novel_test=novel_test)
+    n_workers = min(len(cells), len(os.sched_getaffinity(0)))
+    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        rows = _sweep_rows(cells, map(job, cells))
+    else:
+        pool = multiprocessing.get_context("fork").Pool(n_workers, _start_worker, (job,))
+        try:
+            rows = _sweep_rows(cells, pool.imap(_run_in_worker, cells, chunksize=1))
+        except BaseException:
+            # a fault in any cell ends the sweep; join after terminate, so
+            # no worker outlives it and the fault is the error raised
+            pool.terminate()
+            pool.join()
+            raise
+        pool.close()
+        pool.join()
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_ABLATION_COLUMNS)

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -438,20 +439,32 @@ def _ablation_reference(argv):
     return rows
 
 
+def _log_call(path, line):
+    # a sweep's pool workers are forked processes: what they append to a
+    # list of this process is lost, what they append to a file is not
+    with open(path, "a") as fh:
+        fh.write(f"{line}\n")
+
+
+def _logged(path):
+    return path.read_text().split() if path.exists() else []
+
+
 @pytest.mark.parametrize("extra", [[], ["--tier-mode", "lev2", "--k-act", "1"]])
 def test_ablate_trains_once_per_cell_and_matches_per_cell_training(capsys, workdir,
                                                                    monkeypatch, extra):
     argv = ["ablate", *TINY_FLAGS, "--epochs", "1", *extra, "--out", "sweep.csv"]
-    trainings = []
+    log = workdir / "trainings.log"
 
     def counting_train(*args, **kwargs):
-        trainings.append(args[0])
+        _log_call(log, args[0].tier_mode)
         return pipeline.train(*args, **kwargs)
 
     monkeypatch.setattr(cli, "train", counting_train)
     code, _, err = run(capsys, *argv)
     assert code == EXIT_OK
-    assert len(trainings) == 24 and all(cfg.tier_mode == "both" for cfg in trainings)
+    trainings = _logged(log)
+    assert len(trainings) == 24 and all(tier_mode == "both" for tier_mode in trainings)
     with open("sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     stable = [{k: v for k, v in r.items() if k != "items_per_sec"} for r in rows]
@@ -467,16 +480,55 @@ def test_ablate_trains_once_per_cell_and_matches_per_cell_training(capsys, workd
         assert failed == []
 
 
+def test_ablate_pool_and_serial_sweeps_agree(capsys, workdir, monkeypatch):
+    # two CPUs in the affinity mask give a pool of two workers, one CPU the
+    # builtin map in this process; the training pids show which ran
+    log = workdir / "pids.log"
+
+    def pid_logging_train(*args, **kwargs):
+        _log_call(log, os.getpid())
+        return pipeline.train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", pid_logging_train)
+    sweeps = {}
+    for n_cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)))
+        log.unlink(missing_ok=True)
+        code, _, err = run(capsys, "ablate", *TINY_FLAGS, "--epochs", "1",
+                           "--out", f"sweep{n_cpus}.csv")
+        assert code == EXIT_OK
+        assert multiprocessing.active_children() == []
+        with open(f"sweep{n_cpus}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        pids = {int(pid) for pid in _logged(log)}
+        sweeps[n_cpus] = rows, err, pids
+    (pool_rows, pool_err, pool_pids), (serial_rows, serial_err, serial_pids) = sweeps[2], sweeps[1]
+    assert serial_pids == {os.getpid()}
+    assert len(pool_pids) == 2 and os.getpid() not in pool_pids
+    assert len(pool_rows) == 72 and all(r["items_per_sec"] for r in pool_rows)
+    stable = [[{k: v for k, v in r.items() if k != "items_per_sec"} for r in rows]
+              for rows in (pool_rows, serial_rows)]
+    assert stable[0] == stable[1]
+    assert pool_err == serial_err
+    assert [line.split()[0] for line in pool_err.splitlines()] == [f"[{i}/72]"
+                                                                  for i in range(1, 73)]
+
+
 def test_ablate_ends_on_a_fault_that_is_not_a_package_error(capsys, workdir, monkeypatch):
     # a package error becomes the cell's error rows; a RuntimeError is a
-    # fault, so it ends the sweep before any row is written
+    # fault, so it ends the sweep before any row is written. Two CPUs in the
+    # affinity mask run it in a pool: the fault still ends the sweep with
+    # the worker's traceback, and no worker is left
     def broken_train(*args):
         raise RuntimeError("fault in training")
 
     monkeypatch.setattr(cli, "train", broken_train)
-    with pytest.raises(RuntimeError, match="fault in training"):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="fault in training") as excinfo:
         main(["ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv"])
+    assert "broken_train" in str(excinfo.value.__cause__)
     assert not os.path.exists("sweep.csv")
+    assert multiprocessing.active_children() == []
 
 
 def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
@@ -485,19 +537,19 @@ def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
     # (the base pass is the one timed for items_per_sec); training scores
     # nothing, at any epoch count
     epochs = 2
-    chunks = []
+    log = workdir / "chunks.log"
     predict_chunk = pipeline._predict_chunk
 
     def counting_chunk(X, *args):
         assert len(X) < pipeline._CHUNK
-        chunks.append(len(X))
+        _log_call(log, len(X))
         return predict_chunk(X, *args)
 
     monkeypatch.setattr(pipeline, "_predict_chunk", counting_chunk)
     code, _, _ = run(capsys, "ablate", *TINY_FLAGS, "--epochs", str(epochs),
                      "--out", "sweep.csv")
     assert code == EXIT_OK
-    assert len(chunks) == 24 * 2
+    assert len(_logged(log)) == 24 * 2
 
 
 # --- usage ---------------------------------------------------------------------

@@ -211,7 +211,7 @@ def _set_last_label(raw: bytes, label: int) -> bytes:
 @pytest.mark.parametrize("corrupt, needle", [
     (lambda raw: raw[:-4] + struct.pack("<f", float("nan")), "non-finite feature values"),
     (lambda raw: _set_last_label(raw, 99), "label exceeds class count"),
-])
+], ids=["nan-token", "label-out-of-range"])
 def test_feature_content_defects_are_data_errors(files, tmp_path, corrupt, needle):
     got, err = eval_with(tmp_path, files, base=corrupt(files["base"]))
     assert got == DataError.exit_code and "base.bin" in err and needle in err, err
