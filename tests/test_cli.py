@@ -504,7 +504,8 @@ def test_ablate_pool_and_serial_sweeps_agree(capsys, workdir, monkeypatch):
         sweeps[n_cpus] = rows, err, pids
     (pool_rows, pool_err, pool_pids), (serial_rows, serial_err, serial_pids) = sweeps[2], sweeps[1]
     assert serial_pids == {os.getpid()}
-    assert len(pool_pids) == 2 and os.getpid() not in pool_pids
+    # both workers take cells in practice, but nothing guarantees it
+    assert 1 <= len(pool_pids) <= 2 and os.getpid() not in pool_pids
     assert len(pool_rows) == 72 and all(r["items_per_sec"] for r in pool_rows)
     stable = [[{k: v for k, v in r.items() if k != "items_per_sec"} for r in rows]
               for rows in (pool_rows, serial_rows)]
