@@ -4,9 +4,12 @@ Commands: gen, train, eval, ablate, gradcheck, bench. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numeric failure (the error's family
 carries its code; an OS error reading or writing a file is a data error;
 ablate records a package error as a cell's error rows, and any other
-exception ends it). ablate trains its 24 cells in parallel, one forked
-worker per CPU the process may use (its affinity mask; taskset narrows
-it), and writes the rows in grid order; the workers end with the sweep.
+exception ends it). ablate trains its 24 cells in parallel, one process
+per CPU the process may use (its affinity mask where the platform has
+one, taskset narrows it; else the CPU count): the command's own process
+and children forked for the sweep, which end with it. The rows keep grid
+order; a child that dies ends the sweep. Without the fork start method
+the cells run one after another in the process.
 SPOTLIGHTER_SEED provides the default seed; an explicit config file value
 or --seed flag overrides it. Config files are flat key=value text; flags
 override the file.
@@ -15,6 +18,7 @@ override the file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -23,6 +27,7 @@ import multiprocessing
 import os
 import sys
 import time
+import traceback
 from dataclasses import fields
 
 import numpy as np
@@ -199,18 +204,65 @@ def _tier_rows(base_cfg: RunConfig, cell: dict, base_train, base_test, novel_tes
     return [rows[tier_mode] for tier_mode in TIER_MODES]
 
 
-_worker_job = None  # in a sweep's pool worker only: the sweep's job
+class _ChildTraceback(Exception):
+    """The traceback, as text, of a fault raised in a sweep's forked child."""
 
 
-def _start_worker(job) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _run_in_worker(cell: dict) -> list:
-    # main's error state, set here rather than taken on from the parent
+def _send_results(job, cells, conn) -> None:
+    # in a forked child: the results of its cells, in order, under main's
+    # error state (set here rather than taken on from the parent); a fault
+    # is sent with its traceback and ends the child's share
     with np.errstate(all="ignore"):
-        return _worker_job(cell)
+        for cell in cells:
+            try:
+                conn.send((job(cell), None))
+            except Exception as exc:
+                conn.send((exc, traceback.format_exc()))
+                return
+
+
+def _received(child, conn):
+    """The next result a child sends; a fault it sent is raised here."""
+    try:
+        result, child_traceback = conn.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"ablate: child {child.pid} ended with exit code "
+                           f"{child.exitcode} before sending a cell's result") from None
+    if child_traceback is not None:
+        raise result from _ChildTraceback(child_traceback)
+    return result
+
+
+@contextlib.contextmanager
+def _shared_sweep(job, cells, n_procs):
+    """The job's results for the cells, in cell order. Cell i runs in
+    process i % n_procs: 0 is this one, the others are children forked for
+    the sweep, which send theirs in order through a pipe. Fork, not spawn:
+    a child takes the job, splits included, and whatever this process has
+    patched, without pickling. This process runs its share rather than
+    wait, so it takes back the pages that the fork left copy-on-write as it
+    trains, not in whatever it runs after the sweep. A fault in any cell,
+    or a child that dies, ends the sweep, and no child outlives it."""
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for j in range(1, n_procs):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_results, args=(job, cells[j::n_procs], child_conn))
+            child.start()
+            child_conn.close()
+            children.append((child, conn))
+        yield (job(cell) if i % n_procs == 0 else _received(*children[i % n_procs - 1])
+               for i, cell in enumerate(cells))
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        for child, conn in children:
+            child.join()
+            conn.close()
 
 
 def _sweep_rows(cells, results) -> list:
@@ -236,29 +288,21 @@ def cmd_ablate(args) -> int:
     # 24 trainings, each evaluated under the three tier modes (_tier_rows,
     # whose return frees its state before the next training); tier_mode is
     # the grid's last axis, so the rows keep the product order. The cells
-    # run in a fork pool of one worker per CPU the process may use; forked
-    # workers inherit the job, splits included, so a task carries only its
-    # cell, and imap hands the results back in cell order
+    # are shared by one process per CPU the process may use; forked
+    # children inherit the job, splits included, and send back only results
     names = list(_ABLATION_GRID)[:-1]
     cells = [dict(zip(names, values))
              for values in itertools.product(*(_ABLATION_GRID[n] for n in names))]
     job = functools.partial(_tier_rows, base_cfg, base_train=base_train,
                             base_test=base_test, novel_test=novel_test)
-    n_workers = min(len(cells), len(os.sched_getaffinity(0)))
-    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    n_procs = min(len(cells), n_cpus)
+    if n_procs == 1 or "fork" not in multiprocessing.get_all_start_methods():
         rows = _sweep_rows(cells, map(job, cells))
     else:
-        pool = multiprocessing.get_context("fork").Pool(n_workers, _start_worker, (job,))
-        try:
-            rows = _sweep_rows(cells, pool.imap(_run_in_worker, cells, chunksize=1))
-        except BaseException:
-            # a fault in any cell ends the sweep; join after terminate, so
-            # no worker outlives it and the fault is the error raised
-            pool.terminate()
-            pool.join()
-            raise
-        pool.close()
-        pool.join()
+        with _shared_sweep(job, cells, n_procs) as results:
+            rows = _sweep_rows(cells, results)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_ABLATION_COLUMNS)

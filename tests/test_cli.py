@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import itertools
 import json
 import multiprocessing
 import os
+import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -440,8 +443,8 @@ def _ablation_reference(argv):
 
 
 def _log_call(path, line):
-    # a sweep's pool workers are forked processes: what they append to a
-    # list of this process is lost, what they append to a file is not
+    # a sweep's children are forked processes: what they append to a list
+    # of this process is lost, what they append to a file is not
     with open(path, "a") as fh:
         fh.write(f"{line}\n")
 
@@ -480,16 +483,20 @@ def test_ablate_trains_once_per_cell_and_matches_per_cell_training(capsys, workd
         assert failed == []
 
 
-def test_ablate_pool_and_serial_sweeps_agree(capsys, workdir, monkeypatch):
-    # two CPUs in the affinity mask give a pool of two workers, one CPU the
-    # builtin map in this process; the training pids show which ran
-    log = workdir / "pids.log"
-
+def _log_training_pids(monkeypatch, log):
     def pid_logging_train(*args, **kwargs):
         _log_call(log, os.getpid())
         return pipeline.train(*args, **kwargs)
 
     monkeypatch.setattr(cli, "train", pid_logging_train)
+
+
+def test_ablate_forked_and_serial_sweeps_agree(capsys, workdir, monkeypatch):
+    # two CPUs in the affinity mask share the cells between this process
+    # and one forked child, one CPU runs them all here; the training pids
+    # show which ran
+    log = workdir / "pids.log"
+    _log_training_pids(monkeypatch, log)
     sweeps = {}
     for n_cpus in (2, 1):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=n_cpus: set(range(n)))
@@ -502,25 +509,29 @@ def test_ablate_pool_and_serial_sweeps_agree(capsys, workdir, monkeypatch):
             rows = list(csv.DictReader(fh))
         pids = {int(pid) for pid in _logged(log)}
         sweeps[n_cpus] = rows, err, pids
-    (pool_rows, pool_err, pool_pids), (serial_rows, serial_err, serial_pids) = sweeps[2], sweeps[1]
+    (forked_rows, forked_err, forked_pids), (serial_rows, serial_err, serial_pids) = (
+        sweeps[2], sweeps[1])
     assert serial_pids == {os.getpid()}
-    # both workers take cells in practice, but nothing guarantees it
-    assert 1 <= len(pool_pids) <= 2 and os.getpid() not in pool_pids
-    assert len(pool_rows) == 72 and all(r["items_per_sec"] for r in pool_rows)
+    assert len(forked_pids) == 2 and os.getpid() in forked_pids
+    assert len(forked_rows) == 72 and all(r["items_per_sec"] for r in forked_rows)
     stable = [[{k: v for k, v in r.items() if k != "items_per_sec"} for r in rows]
-              for rows in (pool_rows, serial_rows)]
+              for rows in (forked_rows, serial_rows)]
     assert stable[0] == stable[1]
-    assert pool_err == serial_err
-    assert [line.split()[0] for line in pool_err.splitlines()] == [f"[{i}/72]"
-                                                                  for i in range(1, 73)]
+    assert forked_err == serial_err
+    assert [line.split()[0] for line in forked_err.splitlines()] == [f"[{i}/72]"
+                                                                    for i in range(1, 73)]
 
 
 def test_ablate_ends_on_a_fault_that_is_not_a_package_error(capsys, workdir, monkeypatch):
     # a package error becomes the cell's error rows; a RuntimeError is a
     # fault, so it ends the sweep before any row is written. Two CPUs in the
-    # affinity mask run it in a pool: the fault still ends the sweep with
-    # the worker's traceback, and no worker is left
+    # affinity mask share the cells with a forked child: a fault there still
+    # ends the sweep with the child's traceback, and no child is left
+    test_pid = os.getpid()
+
     def broken_train(*args):
+        if os.getpid() == test_pid:
+            return pipeline.train(*args)
         raise RuntimeError("fault in training")
 
     monkeypatch.setattr(cli, "train", broken_train)
@@ -530,6 +541,85 @@ def test_ablate_ends_on_a_fault_that_is_not_a_package_error(capsys, workdir, mon
     assert "broken_train" in str(excinfo.value.__cause__)
     assert not os.path.exists("sweep.csv")
     assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds, what):
+    # turns a sweep that waits where it should not into a failure
+    def too_late(signum, frame):
+        raise TimeoutError(what)
+
+    handler = signal.signal(signal.SIGALRM, too_late)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_ablate_ends_when_its_own_cell_faults(capsys, workdir, monkeypatch):
+    # a fault in one of this process's cells ends the sweep while the child
+    # is still training: the child is stopped, not waited for, and no CSV is
+    # written
+    test_pid = os.getpid()
+
+    def broken_train(*args):
+        if os.getpid() != test_pid:
+            time.sleep(600)
+        raise RuntimeError("fault in training")
+
+    monkeypatch.setattr(cli, "train", broken_train)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with _deadline(60, "the sweep waited for the child after its own fault"):
+        with pytest.raises(RuntimeError, match="fault in training") as excinfo:
+            main(["ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv"])
+    assert excinfo.value.__cause__ is None
+    assert not os.path.exists("sweep.csv")
+    assert multiprocessing.active_children() == []
+
+
+def test_ablate_ends_when_a_child_dies(capsys, workdir, monkeypatch):
+    # a child that exits without raising loses its cells' results: the sweep
+    # ends at the first of them, naming the exit code, with no CSV and no
+    # child left
+    test_pid = os.getpid()
+
+    def dying_train(*args):
+        if os.getpid() != test_pid:
+            os._exit(3)
+        return pipeline.train(*args)
+
+    monkeypatch.setattr(cli, "train", dying_train)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with _deadline(60, "the sweep waited for a dead child's cell"):
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            main(["ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv"])
+    assert not os.path.exists("sweep.csv")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("platform", ["no-affinity-mask", "no-fork"])
+def test_ablate_counts_cpus_by_what_the_platform_offers(capsys, workdir, monkeypatch,
+                                                       platform):
+    # without an affinity mask the CPU count says how many processes share
+    # the cells; without the fork start method they all run in this process
+    log = workdir / "pids.log"
+    _log_training_pids(monkeypatch, log)
+    if platform == "no-affinity-mask":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    code, _, _ = run(capsys, "ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv")
+    assert code == EXIT_OK
+    assert multiprocessing.active_children() == []
+    pids = {int(pid) for pid in _logged(log)}
+    if platform == "no-affinity-mask":
+        assert len(pids) == 2 and os.getpid() in pids
+    else:
+        assert pids == {os.getpid()}
 
 
 def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
