@@ -38,7 +38,7 @@ print("zero weights, alpha=0: text == [T; T]?  ",
 
 print("\ntrainable parameters at d=64, 4 heads, 2x FFN:")
 print(f"  enumerated: {params.flat.size}")
-print(f"  analytic:   {trainable_param_count(d, 2)}")
+print(f"  analytic:   {trainable_param_count(d)}")
 per_tensor = {}
 for name, arr in params.tensors():
     group = name.split(".")[0]

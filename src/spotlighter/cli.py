@@ -55,7 +55,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 _GRADCHECK_DEFAULTS = dict(d=4, n_tok=8, n_classes=3, signal_tokens=2, k_act=4,
-                           n_proto=2, heads=2, shots=1, test_per_class=1, epochs=0)
+                           n_proto=2, heads=2)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -238,18 +238,19 @@ def _received(child, conn):
 def _shared_sweep(job, cells, n_procs):
     """The job's results for the cells, in cell order. Cell i runs in
     process i % n_procs: 0 is this one, the others are children forked for
-    the sweep, which send theirs in order through a pipe. Fork, not spawn:
+    the sweep, which send theirs in order through a pipe; with one process
+    nothing is forked. Fork, not spawn:
     a child takes the job, splits included, and whatever this process has
     patched, without pickling. This process runs its share rather than
     wait, so it takes back the pages that the fork left copy-on-write as it
     trains, not in whatever it runs after the sweep. A fault in any cell,
     or a child that dies, ends the sweep, and no child outlives it."""
-    ctx = multiprocessing.get_context("fork")
     children = []
     try:
         for j in range(1, n_procs):
-            conn, child_conn = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_results, args=(job, cells[j::n_procs], child_conn))
+            conn, child_conn = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=_send_results, args=(job, cells[j::n_procs], child_conn))
             child.start()
             child_conn.close()
             children.append((child, conn))
@@ -288,8 +289,9 @@ def cmd_ablate(args) -> int:
     # 24 trainings, each evaluated under the three tier modes (_tier_rows,
     # whose return frees its state before the next training); tier_mode is
     # the grid's last axis, so the rows keep the product order. The cells
-    # are shared by one process per CPU the process may use; forked
-    # children inherit the job, splits included, and send back only results
+    # are shared by one process per CPU the process may use, or all run in
+    # this one without the fork start method; forked children inherit the
+    # job, splits included, and send back only results
     names = list(_ABLATION_GRID)[:-1]
     cells = [dict(zip(names, values))
              for values in itertools.product(*(_ABLATION_GRID[n] for n in names))]
@@ -297,12 +299,10 @@ def cmd_ablate(args) -> int:
                             base_test=base_test, novel_test=novel_test)
     n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count() or 1)
-    n_procs = min(len(cells), n_cpus)
-    if n_procs == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = _sweep_rows(cells, map(job, cells))
-    else:
-        with _shared_sweep(job, cells, n_procs) as results:
-            rows = _sweep_rows(cells, results)
+    n_procs = (min(len(cells), n_cpus) if "fork" in multiprocessing.get_all_start_methods()
+               else 1)
+    with _shared_sweep(job, cells, n_procs) as results:
+        rows = _sweep_rows(cells, results)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_ABLATION_COLUMNS)

@@ -19,9 +19,12 @@ from .objectives import LossWeights
 
 @dataclass
 class RunConfig:
-    """All tunables. Defaults follow the reference operating point:
-    alpha 0.2, beta 0.8, lambdas 0.02/20/0.1, five prototypes, tau 0.01,
-    30 epochs, and the 10-class/32-token synthetic episode."""
+    """Every setting a run may vary. Defaults follow the reference operating
+    point: alpha 0.2, beta 0.8, lambdas 0.02/20/0.1, five prototypes, tau
+    0.01, 30 epochs, and the 10-class/32-token synthetic episode. What no
+    caller varies is fixed in the modules that read it: the SGD step 0.01
+    and the bank's init jitter 0.05 (`pipeline`), the weight-init scale 0.05
+    and the feed-forward width 2·d (`numerics`, `representative`)."""
 
     # synthetic data
     seed: int = 7
@@ -36,7 +39,6 @@ class RunConfig:
     # activation & memory bank
     k_act: int = 16
     n_proto: int = 5
-    bank_sigma: float = 0.05
     semantic_on: bool = True
     recalc_on: bool = True
     init_mode: str = INIT_TEXT
@@ -47,14 +49,11 @@ class RunConfig:
     beta: float = 0.8
     tau: float = 0.01
     heads: int = 4
-    ffn_mult: int = 2
-    init_scale: float = 0.05
-    # objective & optimizer
+    # objective & training
     lambda1: float = 0.02
     lambda2: float = 20.0
     lambda3: float = 0.1
     epochs: int = 30
-    lr: float = 0.01
 
     def validate(self) -> "RunConfig":
         self.synth_spec().validate()
@@ -67,15 +66,11 @@ class RunConfig:
             (self.test_per_class >= 1, "test_per_class must be >= 1"),
             (1 <= self.k_act <= self.n_tok, "k_act outside [1, n_tok]"),
             (self.n_proto >= 1, "n_proto must be >= 1"),
-            (self.bank_sigma >= 0, "bank_sigma must be >= 0"),
             (0 <= self.alpha <= 1, "alpha outside [0, 1]"),
             (0 <= self.beta <= 1, "beta outside [0, 1]"),
             (self.tau > 0, "tau must be positive"),
-            (self.ffn_mult >= 1, "ffn_mult must be >= 1"),
-            (self.init_scale > 0, "init_scale must be positive"),
             (min(self.lambda1, self.lambda2, self.lambda3) >= 0, "lambdas must be >= 0"),
             (self.epochs >= 0, "epochs must be >= 0"),
-            (self.lr > 0, "lr must be positive"),
             (self.init_mode in (INIT_TEXT, INIT_RANDOM), f"init_mode {self.init_mode!r}"),
             (self.selection_variant in VARIANTS, f"selection_variant {self.selection_variant!r}"),
             (self.tier_mode in TIER_MODES, f"tier_mode {self.tier_mode!r}"),

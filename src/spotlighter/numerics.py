@@ -43,6 +43,8 @@ _LN_EPS = 1e-5
 # (_FD_BLOCK, n) floats, 10 MB at the check's widest width (d = 16), where
 # all 2n rows at once would be 396 MB
 _FD_BLOCK = 256
+# the feed-forward layer's hidden width is FFN_MULT * d in every block
+FFN_MULT = 2
 
 
 # --------------------------------------------------------------------------
@@ -208,8 +210,8 @@ class TransformerBlockParams:
         return b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in self.tensors())
 
     @classmethod
-    def zeros(cls, d: int, n_heads: int, ffn_mult: int = 2) -> "TransformerBlockParams":
-        h = ffn_mult * d
+    def zeros(cls, d: int, n_heads: int) -> "TransformerBlockParams":
+        h = FFN_MULT * d
         return cls(
             wq=np.zeros((d, d)), bq=np.zeros(d),
             wk=np.zeros((d, d)), bk=np.zeros(d),
@@ -224,9 +226,9 @@ class TransformerBlockParams:
 
     @classmethod
     def random(cls, d: int, n_heads: int, stream: Stream,
-               ffn_mult: int = 2, scale: float = 0.05) -> "TransformerBlockParams":
+               scale: float = 0.05) -> "TransformerBlockParams":
         """Small random weights (std scale/sqrt(d)), unit LN scales, zero biases."""
-        h = ffn_mult * d
+        h = FFN_MULT * d
         s = scale / np.sqrt(d)
         return cls(
             wq=s * stream.normals(d, d), bq=np.zeros(d),
@@ -241,9 +243,9 @@ class TransformerBlockParams:
         )
 
 
-def block_param_count(d: int, ffn_mult: int = 2) -> int:
+def block_param_count(d: int) -> int:
     """Analytic tensor-entry count of one block (head count drops out)."""
-    return (4 + 2 * ffn_mult) * d * d + ffn_mult * d + 9 * d
+    return (4 + 2 * FFN_MULT) * d * d + FFN_MULT * d + 9 * d
 
 
 # --------------------------------------------------------------------------

@@ -62,14 +62,14 @@ from .errors import (
 from .features import FeatureSet, generate_base_novel
 from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, match_class,
                           momentum_update)
-from .numerics import (TransformerBlockParams, block_param_count, finite_difference_errors,
-                       normalize_rows, softmax_rows)
+from .numerics import (FFN_MULT, TransformerBlockParams, block_param_count,
+                       finite_difference_errors, normalize_rows, softmax_rows)
 from .objectives import LossBreakdown, LossWeights, loss_item, losses_fwd_bwd, losses_value
 from .representative import FusionParams, reps_bwd, reps_fwd, tier_inputs, trainable_param_count
 from .rng import Stream
 
 CKPT_MAGIC = b"SPOTCKPT"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 # items per block-forward pass in predict_batch: a block forward holds every
 # intermediate of its pass while it runs (about 20 MiB at 64 items, k = 32, d = 64)
@@ -83,6 +83,7 @@ _TAG_EVAL_BANK = 104
 _TAG_GRADCHECK = 105
 
 _GRADCHECK_EPS = 1e-5  # the gradient check's central-difference step
+_BANK_SIGMA = 0.05  # jitter of the trained bank's initial prototypes
 
 
 # --------------------------------------------------------------------------
@@ -193,6 +194,9 @@ def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_modes,
                         if any(reads(mode, t) for mode in tier_modes)], text, tau)
 
 
+_LR = 0.01  # the SGD step on the fusion parameters
+
+
 def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
                 params: FusionParams, theta: TransformerBlockParams, cfg: RunConfig,
                 weights: LossWeights):
@@ -201,7 +205,7 @@ def _train_step(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     V_list, R_list, cache = reps_fwd(tiers, bank.prototypes[label], params, theta)
     breakdown, dV, dR = losses_fwd_bwd(V_list, R_list,
                                        loss_item(text, X, len(tiers), local, label), weights)
-    params.flat -= cfg.lr * reps_bwd(cache, dV, dR)
+    params.flat -= _LR * reps_bwd(cache, dV, dR)
     return bank, breakdown
 
 
@@ -226,13 +230,11 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
 
     root = Stream(config.seed)
     text = np.asarray(train_set.text_embeddings, dtype=np.float64)
-    bank = init_bank(text, config.n_proto, config.init_mode, config.bank_sigma,
+    bank = init_bank(text, config.n_proto, config.init_mode, _BANK_SIGMA,
                      seed=root.child(_TAG_BANK).seed, beta=config.beta)
-    theta = TransformerBlockParams.random(config.d, config.heads, root.child(_TAG_THETA),
-                                          ffn_mult=config.ffn_mult, scale=config.init_scale)
+    theta = TransformerBlockParams.random(config.d, config.heads, root.child(_TAG_THETA))
     params = FusionParams.init(config.d, config.heads, root.child(_TAG_FUSION),
-                               ffn_mult=config.ffn_mult, alpha=config.alpha,
-                               scale=config.init_scale)
+                               alpha=config.alpha)
     weights = config.loss_weights()
     shuffle_root = root.child(_TAG_SHUFFLE)
 
@@ -248,8 +250,6 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
         for idx in order:
             bank, breakdown = _train_step(tokens[idx], int(labels[idx]), bank,
                                           text, params, theta, config, weights)
-            if not np.isfinite(breakdown.total):
-                raise NonFiniteLoss(f"epoch {epoch}, item {int(idx)}: {breakdown}")
             for key in keys:
                 sums[key] += getattr(breakdown, key)
         record = {key: sums[key] / train_set.n_items for key in keys}
@@ -412,7 +412,6 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
     touches it.
     """
     n, d, K, C = cfg.n_tok, cfg.d, cfg.n_proto, cfg.n_classes
-    e = cfg.ffn_mult
     total = 2 * n * d + d                      # pooling + normalize
     total += 2 * C * K * d                     # category matching
     total += 2 * n * d                         # sample scores
@@ -428,11 +427,11 @@ def flop_count_inference(cfg: RunConfig, k: int) -> int:
         total += 5 * d * (K + m) + 5 * d * K          # IRM layer norms
         total += 2 * d * d * (2 * K + 2 * m)          # IRM q/k/v/o projections
         total += 4 * K * m * d + 3 * K * m            # IRM attention
-        total += 4 * e * K * d * d                    # IRM feed-forward
+        total += 4 * FFN_MULT * K * d * d             # IRM feed-forward
         total += 5 * d * L + 5 * d * K                # frozen block layer norms
         total += 2 * d * d * (2 * K + 2 * L)          # frozen q/k/v/o (K query rows)
         total += 4 * K * L * d + 3 * K * L            # frozen attention
-        total += 4 * e * K * d * d                    # frozen feed-forward
+        total += 4 * FFN_MULT * K * d * d             # frozen feed-forward
         total += 2 * m * d + 2 * C * m * d + 3 * C * m  # TRM matching
         total += 2 * C * m * d + 4 * C * d * d + C * d  # TRM aggregate + linear
     total += 2 * (2 * K) * d + 2 * C * d + 3 * C      # pooling + classification
@@ -528,11 +527,10 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100) -> dict:
         label = int(train_fs.labels[0])
         text = np.asarray(train_fs.text_embeddings, dtype=np.float64)
 
-        bank = init_bank(text, cfg.n_proto, cfg.init_mode, cfg.bank_sigma,
+        bank = init_bank(text, cfg.n_proto, cfg.init_mode, _BANK_SIGMA,
                          seed=case.child(1).seed, beta=cfg.beta)
         bank, tiers, local = _front_end(X, label, bank, text, cfg)
-        theta = TransformerBlockParams.random(cfg.d, cfg.heads, case.child(2),
-                                              ffn_mult=cfg.ffn_mult, scale=cfg.init_scale)
+        theta = TransformerBlockParams.random(cfg.d, cfg.heads, case.child(2))
         protos = bank.prototypes[label]
 
         params, V_list, R_list, cache = _draw_kink_safe_params(cfg, case, tiers, protos,
@@ -586,8 +584,7 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
     margin = 50.0 * _GRADCHECK_EPS
     for attempt in range(64):
         stream = case.child(10 + attempt)
-        params = FusionParams.init(cfg.d, cfg.heads, stream, ffn_mult=cfg.ffn_mult,
-                                   alpha=cfg.alpha, scale=0.1)
+        params = FusionParams.init(cfg.d, cfg.heads, stream, alpha=cfg.alpha, scale=0.1)
         params.trm_b[...] = 0.05 * stream.normals(cfg.d)
         V_list, R_list, cache = reps_fwd(tiers, protos, params, theta)
         diff_ok = all(np.abs(R - text).min() > margin for R in R_list)
@@ -644,13 +641,13 @@ def load_state(path) -> TrainedState:
     cfg = RunConfig.from_dict(header["config"])
     # the payload matches the manifest, so checking the config's entry count
     # first bounds the blank state below by the file's size
-    n_entries = (trainable_param_count(cfg.d, cfg.ffn_mult)
-                 + block_param_count(cfg.d, cfg.ffn_mult) + cfg.n_classes * cfg.n_proto * cfg.d)
+    n_entries = (trainable_param_count(cfg.d) + block_param_count(cfg.d)
+                 + cfg.n_classes * cfg.n_proto * cfg.d)
     if sum(a.size for a in arrays) != n_entries:
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")
     state = TrainedState(
-        params=FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha),
-        theta=TransformerBlockParams.zeros(cfg.d, cfg.heads, cfg.ffn_mult),
+        params=FusionParams.zeros(cfg.d, cfg.heads, alpha=cfg.alpha),
+        theta=TransformerBlockParams.zeros(cfg.d, cfg.heads),
         bank=MemoryBank(np.zeros((cfg.n_classes, cfg.n_proto, cfg.d)), beta=cfg.beta),
         config=cfg, history=header["history"])
     if header["tensors"] != _manifest(state):

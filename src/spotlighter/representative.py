@@ -124,25 +124,23 @@ class FusionParams:
         return out
 
     @classmethod
-    def init(cls, d: int, n_heads: int, stream: Stream, *, ffn_mult: int = 2,
+    def init(cls, d: int, n_heads: int, stream: Stream, *,
              alpha: float = 0.2, scale: float = 0.05) -> "FusionParams":
         irm = TransformerBlockParams.stack([
-            TransformerBlockParams.random(d, n_heads, stream, ffn_mult=ffn_mult, scale=scale)
-            for _ in range(2)
+            TransformerBlockParams.random(d, n_heads, stream, scale=scale) for _ in range(2)
         ])
         trm_w = scale / np.sqrt(2 * d) * stream.normals(2 * d, d)
         return cls(irm=irm, trm_w=trm_w, trm_b=np.zeros(d), alpha=alpha)
 
     @classmethod
-    def zeros(cls, d: int, n_heads: int, *, ffn_mult: int = 2,
-              alpha: float = 0.0) -> "FusionParams":
-        irm = TransformerBlockParams.stack([TransformerBlockParams.zeros(d, n_heads, ffn_mult)] * 2)
+    def zeros(cls, d: int, n_heads: int, *, alpha: float = 0.0) -> "FusionParams":
+        irm = TransformerBlockParams.stack([TransformerBlockParams.zeros(d, n_heads)] * 2)
         return cls(irm=irm, trm_w=np.zeros((2 * d, d)), trm_b=np.zeros(d), alpha=alpha)
 
 
-def trainable_param_count(d: int, ffn_mult: int = 2) -> int:
-    """Analytic count of trainable tensor entries at the configured widths."""
-    return 2 * block_param_count(d, ffn_mult) + 2 * d * d + d
+def trainable_param_count(d: int) -> int:
+    """Analytic count of trainable tensor entries at width d."""
+    return 2 * block_param_count(d) + 2 * d * d + d
 
 
 # --------------------------------------------------------------------------

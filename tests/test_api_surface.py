@@ -1,7 +1,9 @@
 """Every name the package exports, every public module-level function and
 every public method of a package class is used by the program, not only by
 the tests: a name that only tests call is a second copy of a computation or
-a hook that production never runs."""
+a hook that production never runs. Likewise every `RunConfig` field is read
+by the program beyond its own validation: a knob that nothing reads is an
+option that changes nothing."""
 
 import ast
 from pathlib import Path
@@ -44,6 +46,36 @@ def _used_names(paths):
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return used
+
+
+def _config_fields():
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    run_config = next(node for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    return [item.target.id for item in run_config.body if isinstance(item, ast.AnnAssign)]
+
+
+def _attribute_reads_outside_validation(paths):
+    """Attribute names loaded in the given files, except inside
+    `RunConfig.validate`."""
+    reads = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        validation = {id(node) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) and cls.name == "RunConfig"
+                      for item in cls.body
+                      if isinstance(item, ast.FunctionDef) and item.name == "validate"
+                      for node in ast.walk(item)}
+        reads.update(node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                     and id(node) not in validation)
+    return reads
+
+
+def test_every_config_field_is_read_beyond_validation():
+    reads = _attribute_reads_outside_validation(PROGRAM)
+    unread = [name for name in _config_fields() if name not in reads]
+    assert not unread, f"config fields that only validation reads (or nothing): {unread}"
 
 
 def test_every_export_is_used_beyond_the_tests():

@@ -646,7 +646,9 @@ def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
 # --- usage ---------------------------------------------------------------------
 
 def test_unknown_flag_is_usage_error(capsys):
-    assert main(["gen", "--no-such-flag"]) == EXIT_USAGE
+    # the last four were config fields that no caller set
+    for flag in ("--no-such-flag", "--lr", "--bank-sigma", "--init-scale", "--ffn-mult"):
+        assert main(["gen", flag, "1"]) == EXIT_USAGE
 
 
 def test_help_exits_zero(capsys):

@@ -57,13 +57,13 @@ def test_block_gradients_at_100_random_points():
     worst = 0.0
     for point in range(100):
         s = Stream(1000 + point)
-        p = TransformerBlockParams.random(d, H, s, ffn_mult=1, scale=0.5)
+        p = TransformerBlockParams.random(d, H, s, scale=0.5)
         worst = max(worst, _block_fd_error(p, s.normals(2, d), s.normals(3, d),
                                            s.normals(2, d)))
         if point % 5 == 0:
             # leading-axis case: two weight sets stacked, one per input slice
             stacked = TransformerBlockParams.stack(
-                [p, TransformerBlockParams.random(d, H, s, ffn_mult=1, scale=0.5)])
+                [p, TransformerBlockParams.random(d, H, s, scale=0.5)])
             worst = max(worst, _block_fd_error(stacked, s.normals(2, 2, d),
                                                s.normals(2, 3, d), s.normals(2, 2, d)))
     assert worst < 1e-4, worst
@@ -102,7 +102,7 @@ def test_total_loss_gradients_with_reference_weights():
 
 
 def _expected_groups(cfg):
-    params = FusionParams.zeros(cfg.d, cfg.heads, ffn_mult=cfg.ffn_mult, alpha=cfg.alpha)
+    params = FusionParams.zeros(cfg.d, cfg.heads, alpha=cfg.alpha)
     return params.tensors()
 
 
@@ -115,7 +115,7 @@ def test_probe_value_is_the_training_total(k_act, n_tiers):
     train_fs, _, _ = generate_base_novel(cfg.synth_spec(), 1, 1)
     X, label = train_fs.tokens[0].astype(float), int(train_fs.labels[0])
     text = train_fs.text_embeddings.astype(float)
-    bank = init_bank(text, cfg.n_proto, cfg.init_mode, cfg.bank_sigma, seed=3)
+    bank = init_bank(text, cfg.n_proto, cfg.init_mode, 0.05, seed=3)
     bank, tiers, local = _front_end(X, label, bank, text, cfg)
     assert len(tiers) == n_tiers
     protos = bank.prototypes[label]

@@ -194,11 +194,12 @@ def test_non_finite_checkpoint_tensor(files, tmp_path):
     assert got == DataError.exit_code and "bank.prototypes" in err
 
 
-def test_version_one_checkpoint_rejected(files, tmp_path):
-    raw = files["checkpoint"][:8] + bytes([1]) + files["checkpoint"][9:]
-    got, err = eval_with(tmp_path, files, checkpoint=raw)
-    assert got == 2 and "version 1, expected 2" in err, err
-    assert_clean_exit(got, err)
+def test_earlier_checkpoint_versions_rejected(files, tmp_path):
+    for version in (1, 2):
+        raw = files["checkpoint"][:8] + bytes([version]) + files["checkpoint"][9:]
+        got, err = eval_with(tmp_path, files, checkpoint=raw)
+        assert got == 2 and f"version {version}, expected 3" in err, err
+        assert_clean_exit(got, err)
 
 
 def _set_last_label(raw: bytes, label: int) -> bytes:
@@ -318,9 +319,9 @@ def test_overflowing_checkpoint_weights_fail_eval(files, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
-def test_overflowing_init_scale_fails_train_with_one_line(files, tmp_path):
+def test_overflowing_loss_fails_train_with_one_line(files, tmp_path):
     (tmp_path / "train.spot").write_bytes(files["base"])
-    code, err = run_process("train", *TINY_FLAGS, "--epochs", "1", "--init-scale", "1e200",
+    code, err = run_process("train", *TINY_FLAGS, "--epochs", "1", "--lambda2", "1e300",
                             "--train", tmp_path / "train.spot", "--out", tmp_path / "c.bin")
     assert code == 3
-    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert len(err.splitlines()) == 1 and err.startswith("error: non-finite loss component"), err

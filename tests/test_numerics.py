@@ -138,7 +138,7 @@ def test_softmax_survives_any_finite_input(values, tau):
 # --- transformer block -------------------------------------------------------
 
 def _random_params(d, heads, seed, scale=0.4):
-    return TransformerBlockParams.random(d, heads, Stream(seed), ffn_mult=2, scale=scale)
+    return TransformerBlockParams.random(d, heads, Stream(seed), scale=scale)
 
 
 def test_block_zero_params_is_identity():

@@ -438,7 +438,7 @@ def test_config_variants_train_and_evaluate(tiny_config, tiny_episode):
     m = evaluate(state, base_test, novel_test)
     assert np.isfinite(m.harmonic)
     assert (sum(a.size for _, a in state.params.tensors())
-            == trainable_param_count(cfg.d, cfg.ffn_mult))
+            == trainable_param_count(cfg.d))
 
 
 # --- evaluation -----------------------------------------------------------------

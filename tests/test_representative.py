@@ -23,8 +23,7 @@ from .reference_impls import ref_transformer_block, ref_trm
 
 
 def rand_params(d=8, heads=2, seed=3, scale=0.3, alpha=0.2):
-    return FusionParams.init(d, heads, Stream(seed), ffn_mult=2, alpha=alpha,
-                             scale=scale)
+    return FusionParams.init(d, heads, Stream(seed), alpha=alpha, scale=scale)
 
 
 def fwd(tiers, protos, text, params, theta, temperature, **kw):
@@ -254,13 +253,13 @@ def test_cache_free_forward_equals_cached(rng):
 # --- parameters -----------------------------------------------------------------
 
 def test_param_count_formula_matches_enumeration():
-    for d, e in [(64, 2), (16, 1), (8, 4)]:
-        params = FusionParams.init(d, 4 if d % 4 == 0 else 2, Stream(1), ffn_mult=e)
-        assert sum(a.size for _, a in params.tensors()) == trainable_param_count(d, e)
+    for d in (64, 16, 8):
+        params = FusionParams.init(d, 4 if d % 4 == 0 else 2, Stream(1))
+        assert sum(a.size for _, a in params.tensors()) == trainable_param_count(d)
 
 
 def test_fusion_params_hold_one_irm_block_per_tier():
-    block = TransformerBlockParams.zeros(8, 2, 2)
+    block = TransformerBlockParams.zeros(8, 2)
     for irm in (block, TransformerBlockParams.stack([block]),
                 TransformerBlockParams.stack([block] * 3)):
         with pytest.raises(DimMismatch):
@@ -268,9 +267,9 @@ def test_fusion_params_hold_one_irm_block_per_tier():
 
 
 def test_block_param_count_matches():
-    for d, e in [(4, 1), (8, 2), (64, 2)]:
-        p = TransformerBlockParams.zeros(d, 2, e)
-        assert sum(a.size for _, a in p.tensors()) == block_param_count(d, e)
+    for d in (4, 8, 64):
+        p = TransformerBlockParams.zeros(d, 2)
+        assert sum(a.size for _, a in p.tensors()) == block_param_count(d)
 
 
 def test_params_share_one_flat_buffer(rng):
