@@ -4,12 +4,13 @@ Commands: gen, train, eval, ablate, gradcheck, bench. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numeric failure (the error's family
 carries its code; an OS error reading or writing a file is a data error;
 ablate records a package error as a cell's error rows, and any other
-exception ends it). ablate trains its 24 cells in parallel, one process
-per CPU the process may use (its affinity mask where the platform has
-one, taskset narrows it; else the CPU count): the command's own process
-and children forked for the sweep, which end with it. The rows keep grid
-order; a child that dies ends the sweep. Without the fork start method
-the cells run one after another in the process.
+exception ends it). ablate trains its 24 cells, and prediction scores its
+chunks of items, in parallel, one process per CPU the process may use (its
+affinity mask where the platform has one, taskset narrows it; else the CPU
+count): the command's own process and children forked for the sweep or
+the pass, which end with it. Results keep their order; a child that dies
+ends the command. Without the fork start method everything runs in the
+process.
 SPOTLIGHTER_SEED provides the default seed; an explicit config file value
 or --seed flag overrides it. Config files are flat key=value text; flags
 override the file.
@@ -23,11 +24,9 @@ import csv
 import functools
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
-import traceback
 from dataclasses import fields
 
 import numpy as np
@@ -48,6 +47,7 @@ from .pipeline import (
     split_accuracy,
     train,
 )
+from .pool import shared_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -204,68 +204,6 @@ def _tier_rows(base_cfg: RunConfig, cell: dict, base_train, base_test, novel_tes
     return [rows[tier_mode] for tier_mode in TIER_MODES]
 
 
-class _ChildTraceback(Exception):
-    """The traceback, as text, of a fault raised in a sweep's forked child."""
-
-
-def _send_results(job, cells, conn) -> None:
-    # in a forked child: the results of its cells, in order, under main's
-    # error state (set here rather than taken on from the parent); a fault
-    # is sent with its traceback and ends the child's share
-    with np.errstate(all="ignore"):
-        for cell in cells:
-            try:
-                conn.send((job(cell), None))
-            except Exception as exc:
-                conn.send((exc, traceback.format_exc()))
-                return
-
-
-def _received(child, conn):
-    """The next result a child sends; a fault it sent is raised here."""
-    try:
-        result, child_traceback = conn.recv()
-    except EOFError:
-        child.join()
-        raise RuntimeError(f"ablate: child {child.pid} ended with exit code "
-                           f"{child.exitcode} before sending a cell's result") from None
-    if child_traceback is not None:
-        raise result from _ChildTraceback(child_traceback)
-    return result
-
-
-@contextlib.contextmanager
-def _shared_sweep(job, cells, n_procs):
-    """The job's results for the cells, in cell order. Cell i runs in
-    process i % n_procs: 0 is this one, the others are children forked for
-    the sweep, which send theirs in order through a pipe; with one process
-    nothing is forked. Fork, not spawn:
-    a child takes the job, splits included, and whatever this process has
-    patched, without pickling. This process runs its share rather than
-    wait, so it takes back the pages that the fork left copy-on-write as it
-    trains, not in whatever it runs after the sweep. A fault in any cell,
-    or a child that dies, ends the sweep, and no child outlives it."""
-    children = []
-    try:
-        for j in range(1, n_procs):
-            conn, child_conn = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.get_context("fork").Process(
-                target=_send_results, args=(job, cells[j::n_procs], child_conn))
-            child.start()
-            child_conn.close()
-            children.append((child, conn))
-        yield (job(cell) if i % n_procs == 0 else _received(*children[i % n_procs - 1])
-               for i, cell in enumerate(cells))
-    except BaseException:
-        for child, _ in children:
-            child.kill()
-        raise
-    finally:
-        for child, conn in children:
-            child.join()
-            conn.close()
-
-
 def _sweep_rows(cells, results) -> list:
     """The CSV rows of the cells' results, taken in cell order, with one
     stderr progress line per row."""
@@ -289,19 +227,15 @@ def cmd_ablate(args) -> int:
     # 24 trainings, each evaluated under the three tier modes (_tier_rows,
     # whose return frees its state before the next training); tier_mode is
     # the grid's last axis, so the rows keep the product order. The cells
-    # are shared by one process per CPU the process may use, or all run in
-    # this one without the fork start method; forked children inherit the
-    # job, splits included, and send back only results
+    # are shared by one process per CPU the process may use (shared_map);
+    # forked children inherit the job, splits included, and send back only
+    # results, and a cell's own scoring passes run in its process
     names = list(_ABLATION_GRID)[:-1]
     cells = [dict(zip(names, values))
              for values in itertools.product(*(_ABLATION_GRID[n] for n in names))]
     job = functools.partial(_tier_rows, base_cfg, base_train=base_train,
                             base_test=base_test, novel_test=novel_test)
-    n_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
-    n_procs = (min(len(cells), n_cpus) if "fork" in multiprocessing.get_all_start_methods()
-               else 1)
-    with _shared_sweep(job, cells, n_procs) as results:
+    with contextlib.closing(shared_map(job, cells)) as results:
         rows = _sweep_rows(cells, results)
 
     with open(args.out, "w", newline="") as fh:
@@ -360,21 +294,23 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spotlighter",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,  # a flag's prefix is an error, not the flag
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("gen", help="generate base/novel synthetic feature files")
+    p = add_parser("gen", help="generate base/novel synthetic feature files")
     _add_config_flags(p)
     p.add_argument("--out-dir", default=".", help="directory for the .spot files")
     p.set_defaults(run=cmd_gen)
 
-    p = sub.add_parser("train", help="train the fusion modules on a feature file")
+    p = add_parser("train", help="train the fusion modules on a feature file")
     _add_config_flags(p)
     p.add_argument("--train", required=True, help="base-train feature file")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.set_defaults(run=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on base and novel splits")
+    p = add_parser("eval", help="evaluate a checkpoint on base and novel splits")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--base", required=True, help="base-test feature file")
     p.add_argument("--novel", required=True, help="novel-test feature file")
@@ -382,18 +318,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="override inference tier mode")
     p.set_defaults(run=cmd_eval)
 
-    p = sub.add_parser("ablate", help="run the fixed 72-cell ablation grid")
+    p = add_parser("ablate", help="run the fixed 72-cell ablation grid")
     _add_config_flags(p)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(run=cmd_ablate)
 
-    p = sub.add_parser("gradcheck",
-                       help="finite-difference check of all trainable gradients")
+    p = add_parser("gradcheck", help="finite-difference check of all trainable gradients")
     _add_config_flags(p)
     p.add_argument("--seeds", type=int, default=100, help="[100]")
     p.set_defaults(run=cmd_gradcheck)
 
-    p = sub.add_parser("bench", help="throughput/accuracy sweep over k")
+    p = add_parser("bench", help="throughput/accuracy sweep over k")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--items", type=int, default=1000, help="[1000]")
     p.add_argument("--reps", type=int, default=5, help="[5]")

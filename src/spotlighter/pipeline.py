@@ -16,9 +16,11 @@ block of probe rows is one call of the cache-free `reps_fwd` and of
 forward with `losses_fwd_bwd`, so the check has no copy of the objective.
 
 Inference has one path, `predict_modes`, which walks the items in chunks of
-`_CHUNK`; `predict_batch` is its one-mode case, and one item is a batch of
-one, `X[None]`. A chunk runs the training stage functions over its item
-axis: `match_class` identifies the category against a zero-jitter matching
+`_CHUNK`, shared in order between this process and children forked for the
+pass (`pool.shared_map`: one process per CPU the process may use, one chunk
+forks nothing); `predict_batch` is its one-mode case, and one item is a
+batch of one, `X[None]`. A chunk runs the training stage functions over its
+item axis: `match_class` identifies the category against a zero-jitter matching
 bank built from the split's text embeddings under the configured init mode;
 the trained bank (base split) or the same on-the-fly bank (novel split) then
 supplies prototypes for scoring, stratification and the cache-free
@@ -65,6 +67,7 @@ from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, matc
 from .numerics import (FFN_MULT, TransformerBlockParams, block_param_count,
                        finite_difference_errors, normalize_rows, softmax_rows)
 from .objectives import LossBreakdown, LossWeights, loss_item, losses_fwd_bwd, losses_value
+from .pool import pool_size, shared_map
 from .representative import FusionParams, reps_bwd, reps_fwd, tier_inputs, trainable_param_count
 from .rng import Stream
 
@@ -283,7 +286,9 @@ def predict_modes(tokens: np.ndarray, state: TrainedState, class_set: EvalClassS
     with an item axis `reps_fwd` fuses each tier on its own, so one front end
     and one fusion of the tiers the modes read serve every mode bit for bit.
     Items are classified independently, _CHUNK at a time (each chunk widened
-    to float64 on its own), which bounds the memory the block forwards hold.
+    to float64 on its own), which bounds the memory the block forwards hold;
+    `shared_map` shares the chunks between one process per CPU, and the
+    parts are joined in item order.
     """
     cfg = state.config
     k = cfg.k_act if k is None else k
@@ -295,9 +300,10 @@ def predict_modes(tokens: np.ndarray, state: TrainedState, class_set: EvalClassS
     if len(X) == 0:
         empty = np.zeros(0, dtype=np.intp), np.zeros((0, len(class_set.text)))
         return dict.fromkeys(tier_modes, empty)
-    parts = [_predict_chunk(X[i : i + _CHUNK].astype(np.float64), state, class_set, k,
-                            tier_modes)
-             for i in range(0, len(X), _CHUNK)]
+    parts = list(shared_map(
+        lambda i: _predict_chunk(X[i : i + _CHUNK].astype(np.float64), state, class_set, k,
+                                 tier_modes),
+        range(0, len(X), _CHUNK)))
     return {mode: (np.concatenate([part[mode][0] for part in parts]),
                    np.concatenate([part[mode][1] for part in parts]))
             for mode in tier_modes}
@@ -391,6 +397,7 @@ class ThroughputReport:
     full_row: BenchRow | None
     n_items: int
     reps: int
+    processes: int
     trainable_param_count: int
     note: str
 
@@ -398,7 +405,7 @@ class ThroughputReport:
         return {
             "rows": [asdict(r) for r in self.rows],
             "full_token": asdict(self.full_row) if self.full_row else None,
-            "n_items": self.n_items, "reps": self.reps,
+            "n_items": self.n_items, "reps": self.reps, "processes": self.processes,
             "trainable_param_count": self.trainable_param_count,
             "note": self.note,
         }
@@ -442,7 +449,8 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
                      reps: int = 5) -> ThroughputReport:
     """Median items/second per k over `reps` timed passes after one warm-up
     pass, plus the full-token reference: k = n_tok, None when that keeps
-    fewer than every token (remove-top-k).
+    fewer than every token (remove-top-k). `processes` is the pool size the
+    passes' chunks were shared by.
 
     Every k passes `check_selection` under the checkpoint's tier mode before
     anything is generated. The workload is a fresh synthetic split under the
@@ -486,6 +494,7 @@ def bench_throughput(state: TrainedState, n_items: int, k_list,
     note = ("trainable_param_count is the exact number of trainable tensor "
             "entries at the configured widths")
     return ThroughputReport(rows=rows, full_row=full, n_items=actual, reps=reps,
+                            processes=pool_size(-(-actual // _CHUNK)),
                             trainable_param_count=state.params.flat.size, note=note)
 
 

@@ -306,6 +306,8 @@ def test_bench_rows_and_csv(capsys, workdir):
     assert [r["k"] for r in payload["rows"]] == [2, 4, 6, 8]
     assert payload["full_token"]["k"] == 8
     assert payload["trainable_param_count"] > 0
+    # 102 items are two chunks: one process each where the CPUs allow
+    assert payload["processes"] == min(2, len(os.sched_getaffinity(0)))
     with open("bench.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["k", "is_full", "items_per_sec", "wallclock_s", "accuracy", "flops"]
@@ -333,7 +335,8 @@ def test_bench_csv_bytes(capsys, workdir, monkeypatch, k_list):
     ks = [int(k) for k in k_list.split(",")]
     rows = [row(k) for k in ks]
     report = ThroughputReport(rows=rows, full_row=rows[ks.index(32)] if 32 in ks else row(32),
-                              n_items=100, reps=1, trainable_param_count=7, note="")
+                              n_items=100, reps=1, processes=1, trainable_param_count=7,
+                              note="")
     state = pipeline.TrainedState(params=None, theta=None, bank=None,
                                   config=RunConfig(n_tok=32))
     monkeypatch.setattr(cli, "load_state", lambda path: state)
@@ -649,6 +652,15 @@ def test_unknown_flag_is_usage_error(capsys):
     # the last four were config fields that no caller set
     for flag in ("--no-such-flag", "--lr", "--bank-sigma", "--init-scale", "--ffn-mult"):
         assert main(["gen", flag, "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("prefix", [["--epoch", "3"], ["--ini", "random"]])
+def test_a_flags_prefix_is_usage_error(capsys, workdir, prefix):
+    # --epochs and --init-mode in full parse; a prefix of either does not
+    data = gen_tiny(capsys, workdir)
+    assert main(["train", *TINY_FLAGS, *prefix, "--train", str(data / "base-train.spot"),
+                 "--out", "ckpt.spot"]) == EXIT_USAGE
+    assert not os.path.exists("ckpt.spot")
 
 
 def test_help_exits_zero(capsys):
