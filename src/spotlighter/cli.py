@@ -2,7 +2,9 @@
 
 Commands: gen, train, eval, ablate, gradcheck, bench. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numeric failure (the error's family
-carries its code; an OS error reading or writing a file is a data error;
+carries its code; an OS error reading or writing a file is a data error, and
+a missing output directory is one before any work starts; running out of
+memory is a usage error: the request is larger than the machine holds;
 ablate records a package error as a cell's error rows, and any other
 exception ends it). ablate trains its 24 cells, and prediction scores its
 chunks of items, in parallel, one process per CPU the process may use (its
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
 import itertools
 import json
@@ -82,6 +85,15 @@ def _build_config(args, extra_defaults: dict | None = None) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
+def _check_out_dir(path) -> None:
+    """Raise, before any work, the error that opening `path` for writing
+    would raise because its directory is missing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -110,6 +122,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _build_config(args)
+    _check_out_dir(args.out)
     train_set = read_features(args.train)
     state = train(cfg, train_set)
     save_state(state, args.out)
@@ -221,6 +234,7 @@ def _sweep_rows(cells, results) -> list:
 
 def cmd_ablate(args) -> int:
     base_cfg = _build_config(args)
+    _check_out_dir(args.out)
     base_train, base_test, novel_test = generate_base_novel(
         base_cfg.synth_spec(), base_cfg.shots, base_cfg.test_per_class
     )
@@ -264,6 +278,8 @@ _BENCH_COLUMNS = ("k", "is_full", "items_per_sec", "wallclock_s", "accuracy", "f
 
 
 def cmd_bench(args) -> int:
+    if args.csv:
+        _check_out_dir(args.csv)
     state = load_state(args.checkpoint)
     try:
         k_list = [int(tok) for tok in args.k_list.split(",")]
@@ -354,6 +370,9 @@ def main(argv=None) -> int:
     except (SpotlighterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_DATA)  # an OSError is a data error
+    except MemoryError as exc:  # the request is larger than the machine holds
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,17 +14,19 @@ from .activation import TIER_MODES, VARIANTS
 from .errors import ConfigError
 from .features import SynthSpec
 from .memory_bank import INIT_RANDOM, INIT_TEXT
-from .objectives import LossWeights
+from .objectives import TAU, LossWeights
 
 
 @dataclass
 class RunConfig:
     """Every setting a run may vary. Defaults follow the reference operating
-    point: alpha 0.2, beta 0.8, lambdas 0.02/20/0.1, five prototypes, tau
-    0.01, 30 epochs, and the 10-class/32-token synthetic episode. What no
-    caller varies is fixed in the modules that read it: the SGD step 0.01
-    and the bank's init jitter 0.05 (`pipeline`), the weight-init scale 0.05
-    and the feed-forward width 2·d (`numerics`, `representative`)."""
+    point: lambdas 0.02/20/0.1, five prototypes, 30 epochs, and the
+    10-class/32-token synthetic episode. What no caller varies is fixed in
+    the modules that read it: the TRM residual alpha 0.2, the bank momentum
+    beta 0.8, the SGD step 0.01 and the bank's init jitter 0.05
+    (`pipeline`), the temperature tau 0.01 (`objectives.TAU`), the
+    weight-init scale 0.05 and the feed-forward width 2·d (`numerics`,
+    `representative`)."""
 
     # synthetic data
     seed: int = 7
@@ -45,9 +47,6 @@ class RunConfig:
     selection_variant: str = "top-k"
     tier_mode: str = "both"
     # fusion modules
-    alpha: float = 0.2
-    beta: float = 0.8
-    tau: float = 0.01
     heads: int = 4
     # objective & training
     lambda1: float = 0.02
@@ -66,9 +65,6 @@ class RunConfig:
             (self.test_per_class >= 1, "test_per_class must be >= 1"),
             (1 <= self.k_act <= self.n_tok, "k_act outside [1, n_tok]"),
             (self.n_proto >= 1, "n_proto must be >= 1"),
-            (0 <= self.alpha <= 1, "alpha outside [0, 1]"),
-            (0 <= self.beta <= 1, "beta outside [0, 1]"),
-            (self.tau > 0, "tau must be positive"),
             (min(self.lambda1, self.lambda2, self.lambda3) >= 0, "lambdas must be >= 0"),
             (self.epochs >= 0, "epochs must be >= 0"),
             (self.init_mode in (INIT_TEXT, INIT_RANDOM), f"init_mode {self.init_mode!r}"),
@@ -110,7 +106,7 @@ class RunConfig:
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(lambda1=self.lambda1, lambda2=self.lambda2,
-                           lambda3=self.lambda3, tau=self.tau)
+                           lambda3=self.lambda3, tau=TAU)
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}

@@ -25,11 +25,17 @@ import numpy as np
 from .errors import DimMismatch, NonFiniteLoss, NonPositiveTemperature, ZeroVector
 from .numerics import cross_entropy, softmax_rows
 
+# the temperature every softmax of the model shares: the bank's token
+# assignment and local loss, the TRM matching, the losses and the
+# prediction head (a logit scale of 100, CLIP's)
+TAU = 0.01
+
 
 @dataclass
 class LossWeights:
     """Coefficients of the weighted total plus the shared temperature;
-    `RunConfig.loss_weights` holds the reference values."""
+    `RunConfig.loss_weights` gives the run's lambdas with the fixed `TAU`.
+    Tests pass other temperatures."""
 
     lambda1: float
     lambda2: float

@@ -66,13 +66,14 @@ from .memory_bank import (MemoryBank, assign_tokens, init_bank, local_loss, matc
                           momentum_update)
 from .numerics import (FFN_MULT, TransformerBlockParams, block_param_count,
                        finite_difference_errors, normalize_rows, softmax_rows)
-from .objectives import LossBreakdown, LossWeights, loss_item, losses_fwd_bwd, losses_value
+from .objectives import (TAU, LossBreakdown, LossWeights, loss_item, losses_fwd_bwd,
+                         losses_value)
 from .pool import pool_size, shared_map
 from .representative import FusionParams, reps_bwd, reps_fwd, tier_inputs, trainable_param_count
 from .rng import Stream
 
 CKPT_MAGIC = b"SPOTCKPT"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 
 # items per block-forward pass in predict_batch: a block forward holds every
 # intermediate of its pass while it runs (about 20 MiB at 64 items, k = 32, d = 64)
@@ -87,6 +88,8 @@ _TAG_GRADCHECK = 105
 
 _GRADCHECK_EPS = 1e-5  # the gradient check's central-difference step
 _BANK_SIGMA = 0.05  # jitter of the trained bank's initial prototypes
+_BETA = 0.8  # momentum of every bank's prototype update
+_ALPHA = 0.2  # weight of the TRM residual in the text representatives
 
 
 # --------------------------------------------------------------------------
@@ -157,8 +160,7 @@ def make_eval_class_set(state: TrainedState, text_embeddings: np.ndarray,
     if use_trained_bank and len(text) != cfg.n_classes:
         raise DimMismatch(f"split has {len(text)} classes, the trained bank {cfg.n_classes}")
     matching = init_bank(text, cfg.n_proto, cfg.init_mode, 0.0,
-                         seed=Stream(cfg.seed).child(_TAG_EVAL_BANK).seed,
-                         beta=cfg.beta)
+                         seed=Stream(cfg.seed).child(_TAG_EVAL_BANK).seed, beta=_BETA)
     fusion = state.bank if use_trained_bank else matching
     return EvalClassSet(text=text, matching_bank=matching, fusion_bank=fusion)
 
@@ -179,22 +181,22 @@ def _front_end(X: np.ndarray, label: int, bank: MemoryBank, text: np.ndarray,
     selected = select_activated(combined, cfg.k_act, cfg.selection_variant)
     tok_act = X[selected]
 
-    assignment = assign_tokens(tok_act, bank.prototypes[label], cfg.tau)
+    assignment = assign_tokens(tok_act, bank.prototypes[label], TAU)
     bank = momentum_update(bank, label, assignment, tok_act)
-    local = local_loss(bank, tok_act, label, cfg.tau)
+    local = local_loss(bank, tok_act, label, TAU)
 
     tier1, tier2 = stratify(selected, combined, X, bank.prototypes[label],
                             cfg.recalc_on)
-    return bank, _tier_list(X, tier1, tier2, ("both",), text, cfg.tau), local
+    return bank, _tier_list(X, tier1, tier2, ("both",), text), local
 
 
 def _tier_list(X: np.ndarray, tier1: np.ndarray, tier2: np.ndarray, tier_modes,
-               text: np.ndarray, tau: float):
+               text: np.ndarray):
     """`reps_fwd` tiers: every nonempty tier that one of `tier_modes` reads,
     with its TRM input computed once here."""
     return tier_inputs([(t, np.take_along_axis(X, idx[..., None], axis=-2))
                         for t, idx in enumerate((tier1, tier2))
-                        if any(reads(mode, t) for mode in tier_modes)], text, tau)
+                        if any(reads(mode, t) for mode in tier_modes)], text, TAU)
 
 
 _LR = 0.01  # the SGD step on the fusion parameters
@@ -234,10 +236,9 @@ def train(config: RunConfig, train_set: FeatureSet) -> TrainedState:
     root = Stream(config.seed)
     text = np.asarray(train_set.text_embeddings, dtype=np.float64)
     bank = init_bank(text, config.n_proto, config.init_mode, _BANK_SIGMA,
-                     seed=root.child(_TAG_BANK).seed, beta=config.beta)
+                     seed=root.child(_TAG_BANK).seed, beta=_BETA)
     theta = TransformerBlockParams.random(config.d, config.heads, root.child(_TAG_THETA))
-    params = FusionParams.init(config.d, config.heads, root.child(_TAG_FUSION),
-                               alpha=config.alpha)
+    params = FusionParams.init(config.d, config.heads, root.child(_TAG_FUSION), alpha=_ALPHA)
     weights = config.loss_weights()
     shuffle_root = root.child(_TAG_SHUFFLE)
 
@@ -321,14 +322,14 @@ def _predict_chunk(X: np.ndarray, state: TrainedState, class_set: EvalClassSet,
     selected = np.stack([select_activated(row, k, cfg.selection_variant)
                          for row in combined])
     tier1, tier2 = stratify(selected, combined, X, protos, cfg.recalc_on)
-    tiers = _tier_list(X, tier1, tier2, tier_modes, class_set.text, cfg.tau)
+    tiers = _tier_list(X, tier1, tier2, tier_modes, class_set.text)
     V, R, _ = reps_fwd(tiers, protos, state.params, state.theta, keep_cache=False)
     out = {}
     for mode in tier_modes:
         read = [i for i, (t, _, _) in enumerate(tiers) if reads(mode, t)]
         v = normalize_rows(np.concatenate([V[i] for i in read], axis=1).mean(axis=1))
         Tp = normalize_rows(np.mean(np.stack([R[i] for i in read], axis=2), axis=2))
-        probs = softmax_rows(np.einsum("ncd,nd->nc", Tp, v), cfg.tau)
+        probs = softmax_rows(np.einsum("ncd,nd->nc", Tp, v), TAU)
         out[mode] = np.argmax(probs, axis=1), probs
     return out
 
@@ -537,7 +538,7 @@ def gradcheck_total_loss(cfg: RunConfig, n_seeds: int = 100) -> dict:
         text = np.asarray(train_fs.text_embeddings, dtype=np.float64)
 
         bank = init_bank(text, cfg.n_proto, cfg.init_mode, _BANK_SIGMA,
-                         seed=case.child(1).seed, beta=cfg.beta)
+                         seed=case.child(1).seed, beta=_BETA)
         bank, tiers, local = _front_end(X, label, bank, text, cfg)
         theta = TransformerBlockParams.random(cfg.d, cfg.heads, case.child(2))
         protos = bank.prototypes[label]
@@ -593,7 +594,7 @@ def _draw_kink_safe_params(cfg: RunConfig, case: Stream, tiers, protos, text,
     margin = 50.0 * _GRADCHECK_EPS
     for attempt in range(64):
         stream = case.child(10 + attempt)
-        params = FusionParams.init(cfg.d, cfg.heads, stream, alpha=cfg.alpha, scale=0.1)
+        params = FusionParams.init(cfg.d, cfg.heads, stream, alpha=_ALPHA, scale=0.1)
         params.trm_b[...] = 0.05 * stream.normals(cfg.d)
         V_list, R_list, cache = reps_fwd(tiers, protos, params, theta)
         diff_ok = all(np.abs(R - text).min() > margin for R in R_list)
@@ -655,9 +656,9 @@ def load_state(path) -> TrainedState:
     if sum(a.size for a in arrays) != n_entries:
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")
     state = TrainedState(
-        params=FusionParams.zeros(cfg.d, cfg.heads, alpha=cfg.alpha),
+        params=FusionParams.zeros(cfg.d, cfg.heads, alpha=_ALPHA),
         theta=TransformerBlockParams.zeros(cfg.d, cfg.heads),
-        bank=MemoryBank(np.zeros((cfg.n_classes, cfg.n_proto, cfg.d)), beta=cfg.beta),
+        bank=MemoryBank(np.zeros((cfg.n_classes, cfg.n_proto, cfg.d)), beta=_BETA),
         config=cfg, history=header["history"])
     if header["tensors"] != _manifest(state):
         raise HeaderMismatch(f"{path}: tensor manifest does not fit the config")

@@ -1,11 +1,8 @@
-import contextlib
 import csv
 import itertools
 import json
 import multiprocessing
 import os
-import signal
-import time
 from dataclasses import replace
 
 import pytest
@@ -177,6 +174,21 @@ def test_unlabeled_split_is_a_data_error(capsys, workdir, command):
 def test_train_missing_file_is_data_error(capsys, workdir):
     code, _, _ = run(capsys, "train", "--train", "missing.spot", "--out", "c.spot")
     assert code == EXIT_DATA
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command worked before checking its output directory")
+
+
+def test_train_fails_on_a_missing_output_directory_before_training(capsys, workdir,
+                                                                   monkeypatch):
+    data = gen_tiny(capsys, workdir)
+    monkeypatch.setattr(cli, "train", _must_not_run)
+    code, out, err = run(capsys, "train", *TINY_FLAGS, "--train",
+                         str(data / "base-train.spot"), "--out", "missing/c.spot")
+    assert code == EXIT_DATA and out == ""
+    assert err == "error: [Errno 2] No such file or directory: 'missing/c.spot'\n"
+    assert not os.path.exists("missing")
 
 
 def test_config_file_with_flag_override(capsys, workdir):
@@ -404,7 +416,29 @@ def test_bench_workload_too_small(capsys, workdir):
     assert code == EXIT_USAGE
 
 
+def test_bench_fails_on_a_missing_csv_directory_before_timing(capsys, workdir, monkeypatch):
+    train_tiny(capsys, workdir)
+    monkeypatch.setattr(cli, "bench_throughput", _must_not_run)
+    (workdir / "file").write_text("")
+    for csv_path, reason in (("missing/b.csv", "[Errno 2] No such file or directory"),
+                             ("file/b.csv", "[Errno 20] Not a directory")):
+        code, out, err = run(capsys, "bench", "--checkpoint", "ckpt.spot", "--csv", csv_path)
+        assert code == EXIT_DATA and out == ""
+        assert err == f"error: {reason}: {csv_path!r}\n"
+    assert not os.path.exists("missing")
+
+
 # --- ablate ---------------------------------------------------------------------
+
+def test_ablate_fails_on_a_missing_output_directory_before_the_sweep(capsys, workdir,
+                                                                     monkeypatch):
+    monkeypatch.setattr(cli, "train", _must_not_run)
+    code, out, err = run(capsys, "ablate", *TINY_FLAGS, "--epochs", "1",
+                         "--out", "missing/s.csv")
+    assert code == EXIT_DATA and out == ""
+    assert err == "error: [Errno 2] No such file or directory: 'missing/s.csv'\n"
+    assert not os.path.exists("missing")
+
 
 def test_ablate_grid_and_csv(capsys, workdir):
     code, out, err = run(capsys, "ablate", *TINY_FLAGS, "--epochs", "1",
@@ -546,85 +580,6 @@ def test_ablate_ends_on_a_fault_that_is_not_a_package_error(capsys, workdir, mon
     assert multiprocessing.active_children() == []
 
 
-@contextlib.contextmanager
-def _deadline(seconds, what):
-    # turns a sweep that waits where it should not into a failure
-    def too_late(signum, frame):
-        raise TimeoutError(what)
-
-    handler = signal.signal(signal.SIGALRM, too_late)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, handler)
-
-
-def test_ablate_ends_when_its_own_cell_faults(capsys, workdir, monkeypatch):
-    # a fault in one of this process's cells ends the sweep while the child
-    # is still training: the child is stopped, not waited for, and no CSV is
-    # written
-    test_pid = os.getpid()
-
-    def broken_train(*args):
-        if os.getpid() != test_pid:
-            time.sleep(600)
-        raise RuntimeError("fault in training")
-
-    monkeypatch.setattr(cli, "train", broken_train)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with _deadline(60, "the sweep waited for the child after its own fault"):
-        with pytest.raises(RuntimeError, match="fault in training") as excinfo:
-            main(["ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv"])
-    assert excinfo.value.__cause__ is None
-    assert not os.path.exists("sweep.csv")
-    assert multiprocessing.active_children() == []
-
-
-def test_ablate_ends_when_a_child_dies(capsys, workdir, monkeypatch):
-    # a child that exits without raising loses its cells' results: the sweep
-    # ends at the first of them, naming the exit code, with no CSV and no
-    # child left
-    test_pid = os.getpid()
-
-    def dying_train(*args):
-        if os.getpid() != test_pid:
-            os._exit(3)
-        return pipeline.train(*args)
-
-    monkeypatch.setattr(cli, "train", dying_train)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with _deadline(60, "the sweep waited for a dead child's cell"):
-        with pytest.raises(RuntimeError, match="exit code 3"):
-            main(["ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv"])
-    assert not os.path.exists("sweep.csv")
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("platform", ["no-affinity-mask", "no-fork"])
-def test_ablate_counts_cpus_by_what_the_platform_offers(capsys, workdir, monkeypatch,
-                                                       platform):
-    # without an affinity mask the CPU count says how many processes share
-    # the cells; without the fork start method they all run in this process
-    log = workdir / "pids.log"
-    _log_training_pids(monkeypatch, log)
-    if platform == "no-affinity-mask":
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    code, _, _ = run(capsys, "ablate", *TINY_FLAGS, "--epochs", "1", "--out", "sweep.csv")
-    assert code == EXIT_OK
-    assert multiprocessing.active_children() == []
-    pids = {int(pid) for pid in _logged(log)}
-    if platform == "no-affinity-mask":
-        assert len(pids) == 2 and os.getpid() in pids
-    else:
-        assert pids == {os.getpid()}
-
-
 def test_ablate_predicts_each_split_once_per_row(capsys, workdir, monkeypatch):
     # every split here is one chunk, so a chunk call is one prediction pass:
     # per training, one base and one novel pass serve the three tier modes
@@ -654,6 +609,21 @@ def test_unknown_flag_is_usage_error(capsys):
         assert main(["gen", flag, "1"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [
+    ["gen"], ["train", "--train", "x.spot", "--out", "c.spot"], ["ablate", "--out", "s.csv"],
+    ["gradcheck"]])
+def test_fixed_hyperparameters_are_not_flags_or_config_keys(capsys, workdir, command):
+    # alpha, beta and tau are constants; naming one is a usage error
+    for flag in ("--alpha", "--beta", "--tau"):
+        code, _, err = run(capsys, *command, flag, "0.5")
+        assert code == EXIT_USAGE and f"unrecognized arguments: {flag} 0.5" in err
+        key = flag[2:]
+        (workdir / "run.cfg").write_text(f"{key} = 0.5\n")
+        code, _, err = run(capsys, *command, "--config", "run.cfg")
+        assert code == EXIT_USAGE and err == f"error: run.cfg:1: unknown config key {key!r}\n"
+    assert os.listdir(workdir) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("prefix", [["--epoch", "3"], ["--ini", "random"]])
 def test_a_flags_prefix_is_usage_error(capsys, workdir, prefix):
     # --epochs and --init-mode in full parse; a prefix of either does not
@@ -661,6 +631,18 @@ def test_a_flags_prefix_is_usage_error(capsys, workdir, prefix):
     assert main(["train", *TINY_FLAGS, *prefix, "--train", str(data / "base-train.spot"),
                  "--out", "ckpt.spot"]) == EXIT_USAGE
     assert not os.path.exists("ckpt.spot")
+
+
+def test_out_of_memory_is_one_error_line(capsys, workdir, monkeypatch):
+    # no allocation: the generator raises as numpy does when it cannot
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 469. GiB for an array")
+
+    monkeypatch.setattr(cli, "generate_base_novel", too_large)
+    code, out, err = run(capsys, "gen", "--out-dir", "data")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: out of memory: Unable to allocate 469. GiB for an array\n"
+    assert "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):
@@ -671,6 +653,5 @@ def test_help_exits_zero(capsys):
 def test_help_documents_reference_defaults(capsys):
     main(["train", "--help"])
     text = capsys.readouterr().out
-    for flagged_default in ("[0.2]", "[0.8]", "[0.02]", "[20.0]", "[0.1]",
-                            "[5]", "[16]", "[0.01]"):
+    for flagged_default in ("[0.02]", "[20.0]", "[0.1]", "[5]", "[16]"):
         assert flagged_default in text

@@ -102,7 +102,7 @@ def test_total_loss_gradients_with_reference_weights():
 
 
 def _expected_groups(cfg):
-    params = FusionParams.zeros(cfg.d, cfg.heads, alpha=cfg.alpha)
+    params = FusionParams.zeros(cfg.d, cfg.heads, alpha=pipeline._ALPHA)
     return params.tensors()
 
 
@@ -119,7 +119,7 @@ def test_probe_value_is_the_training_total(k_act, n_tiers):
     bank, tiers, local = _front_end(X, label, bank, text, cfg)
     assert len(tiers) == n_tiers
     protos = bank.prototypes[label]
-    params = FusionParams.init(cfg.d, cfg.heads, Stream(4), alpha=cfg.alpha, scale=0.1)
+    params = FusionParams.init(cfg.d, cfg.heads, Stream(4), alpha=pipeline._ALPHA, scale=0.1)
     theta = TransformerBlockParams.random(cfg.d, cfg.heads, Stream(5))
     V, R, _ = reps_fwd(tiers, protos, params, theta)
     item = loss_item(text, X, len(tiers), local, label)

@@ -195,10 +195,10 @@ def test_non_finite_checkpoint_tensor(files, tmp_path):
 
 
 def test_earlier_checkpoint_versions_rejected(files, tmp_path):
-    for version in (1, 2):
+    for version in (1, 2, 3):
         raw = files["checkpoint"][:8] + bytes([version]) + files["checkpoint"][9:]
         got, err = eval_with(tmp_path, files, checkpoint=raw)
-        assert got == 2 and f"version {version}, expected 3" in err, err
+        assert got == 2 and f"version {version}, expected 4" in err, err
         assert_clean_exit(got, err)
 
 
@@ -245,15 +245,16 @@ def test_split_with_more_classes_than_the_bank(files, tmp_path):
 
 def test_from_dict_rejects_mistyped_values():
     for key, value in (("d", "16"), ("d", 16.0), ("epochs", False), ("semantic_on", 1),
-                       ("alpha", "0.2"), ("alpha", float("nan")), ("tier_mode", ["both"])):
+                       ("lambda1", "0.02"), ("lambda1", float("nan")),
+                       ("tier_mode", ["both"])):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({key: value})
-    assert RunConfig.from_dict({"alpha": 0, "semantic_on": False}).alpha == 0
+    assert RunConfig.from_dict({"lambda1": 0, "semantic_on": False}).lambda1 == 0
 
 
 def test_one_coercion_for_files_flags_and_environment(tmp_path, monkeypatch):
     assert parse_value("semantic_on", "Off", "x") is False
-    assert parse_value("d", "16", "x") == 16 and parse_value("tau", "1", "x") == 1.0
+    assert parse_value("d", "16", "x") == 16 and parse_value("lambda2", "1", "x") == 1.0
     for key, text in (("semantic_on", "maybe"), ("d", "1.5"), ("nope", "1")):
         with pytest.raises(ConfigError):
             parse_value(key, text, "x")

@@ -33,6 +33,7 @@ from spotlighter.errors import (
 from spotlighter.features import FeatureSet, generate_base_novel
 from spotlighter.memory_bank import match_class
 from spotlighter.numerics import normalize_rows, softmax_rows
+from spotlighter.objectives import TAU
 from spotlighter.pipeline import (
     _CHUNK,
     _state_tensors,
@@ -210,11 +211,11 @@ def composed_predict(X, state, ctx, tier_mode=None):
         tiers = [(1, X[t2])]
     else:
         tiers = [(0, X[t1])] + ([(1, X[t2])] if t2.size else [])
-    V, R, _ = reps_fwd(tier_inputs(tiers, ctx.text, cfg.tau), protos, state.params,
+    V, R, _ = reps_fwd(tier_inputs(tiers, ctx.text, TAU), protos, state.params,
                        state.theta)
     v = normalize_rows(np.vstack(V).mean(axis=0))
     Tp = normalize_rows(np.stack(R, axis=1).mean(axis=1))
-    probs = softmax_rows(Tp @ v, cfg.tau)
+    probs = softmax_rows(Tp @ v, TAU)
     return int(np.argmax(probs)), probs
 
 

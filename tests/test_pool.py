@@ -4,8 +4,11 @@ and the ablation sweep. Two CPUs are faked through the affinity mask; what
 a forked child appends to a list of this process is lost, so pids are
 logged to a file."""
 
+import contextlib
 import multiprocessing
 import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +62,89 @@ def test_children_run_under_the_callers_error_state(monkeypatch):
         got = list(pool.shared_map(lambda _: (np.geterr(), os.getpid()), range(4)))
     assert [state for state, _ in got] == [want] * 4
     assert len({pid for _, pid in got}) == 2
+
+
+@pytest.mark.parametrize("platform", ["no-affinity-mask", "no-fork"])
+def test_pool_size_counts_cpus_by_what_the_platform_offers(monkeypatch, platform):
+    # without an affinity mask the CPU count says how many processes share
+    # the items; without the fork start method they all run in this process
+    if platform == "no-affinity-mask":
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        want = 2
+    else:
+        _mask(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        want = 1
+    assert pool.pool_size(4) == want and pool.pool_size(1) == 1
+    pids = set(pool.shared_map(lambda _: os.getpid(), range(4)))
+    assert len(pids) == want and os.getpid() in pids
+    assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _deadline(seconds, what):
+    # turns a map that waits where it should not into a failure
+    def too_late(signum, frame):
+        raise TimeoutError(what)
+
+    handler = signal.signal(signal.SIGALRM, too_late)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_a_child_that_dies_ends_the_map(monkeypatch):
+    # a child that exits without raising loses its items' results: the map
+    # ends at the first of them, naming the exit code, with no child left
+    test_pid = os.getpid()
+
+    def dying(i):
+        if os.getpid() != test_pid:
+            os._exit(3)
+        return i
+
+    _mask(monkeypatch, 2)
+    with _deadline(60, "the map waited for a dead child's item"):
+        with pytest.raises(RuntimeError, match="exit code 3"):
+            list(pool.shared_map(dying, range(4)))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_fault_in_this_processs_share_stops_a_busy_child(monkeypatch):
+    # a fault in one of this process's items ends the map while the child
+    # is still working: the child is stopped, not waited for
+    test_pid = os.getpid()
+
+    def faulty(i):
+        if os.getpid() != test_pid:
+            time.sleep(600)
+        raise RuntimeError("fault in this process")
+
+    _mask(monkeypatch, 2)
+    with _deadline(60, "the map waited for the child after its own fault"):
+        with pytest.raises(RuntimeError, match="fault in this process") as excinfo:
+            list(pool.shared_map(faulty, range(4)))
+    assert excinfo.value.__cause__ is None
+    assert multiprocessing.active_children() == []
+
+
+def test_a_memory_error_in_a_child_reaches_the_caller(monkeypatch):
+    test_pid = os.getpid()
+
+    def too_large(i):
+        if os.getpid() != test_pid:
+            raise MemoryError("Unable to allocate 469. GiB for an array")
+        return i
+
+    _mask(monkeypatch, 2)
+    with pytest.raises(MemoryError, match="Unable to allocate") as excinfo:
+        list(pool.shared_map(too_large, range(4)))
+    assert "too_large" in str(excinfo.value.__cause__)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture()
